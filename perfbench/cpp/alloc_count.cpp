@@ -1,0 +1,57 @@
+#include "alloc_count.hpp"
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
+namespace perfbench {
+namespace {
+
+std::atomic<std::uint64_t> g_allocations{0};
+
+void* counted_alloc(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  const auto a = static_cast<std::size_t>(align);
+  // aligned_alloc wants a non-zero size that is a multiple of the alignment.
+  const std::size_t rounded = (size + a - 1) / a * a;
+  return std::aligned_alloc(a, rounded == 0 ? a : rounded);
+}
+
+}  // namespace
+
+std::uint64_t allocations() { return g_allocations.load(std::memory_order_relaxed); }
+
+}  // namespace perfbench
+
+void* operator new(std::size_t size) {
+  if (void* p = perfbench::counted_alloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return perfbench::counted_alloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return perfbench::counted_alloc(size);
+}
+void* operator new(std::size_t size, std::align_val_t align) {
+  if (void* p = perfbench::counted_aligned_alloc(size, align)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return ::operator new(size, align);
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
