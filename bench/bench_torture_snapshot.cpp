@@ -1,19 +1,21 @@
-// Crash-point sweep A/B: pilot-snapshot restore vs full prefix replay.
+// Crash-point sweep A/B: dense pilot checkpoints vs baseline-only restore.
 //
-// The sweep cost model motivating the snapshot protocol: a full-replay sweep
-// re-executes the schedule prefix for every lattice point, so a window of P
-// points deep in a B-event schedule costs O(P x B). The snapshot path runs
-// one pilot pass that checkpoints the device state every ~snapshot_interval
-// quiescent boundaries, then serves each point by restoring the nearest
-// checkpoint and replaying only the residual window: O(B + P x interval).
+// The sweep cost model motivating the snapshot protocol: replaying the
+// schedule prefix for every lattice point makes a window of P points deep in
+// a B-event schedule cost O(P x B). Every crash point restores the nearest
+// pilot checkpoint and replays only the residual window, so a pilot that
+// checkpoints every ~snapshot_interval quiescent boundaries serves the sweep
+// in O(B + P x interval).
 //
 // Both sides here run the identical torture::explore() entry point on the
-// identical config -- only ExploreOptions.use_snapshots differs -- and the
+// identical config -- only torture.snapshot_interval differs: 256 against
+// 1e9, where the pilot keeps just the post-mount baseline and the drained
+// tail, so each point below the tail replays nearly the whole prefix. The
 // verdict counters are cross-checked before the record is written, so the
-// speedup is measured on provably equivalent work. The window sits at the
-// deep end of the schedule (stride 1, just below B) because that is where
-// full replay is most expensive and where real sweeps spend their time;
-// shallow boundaries amortise nothing and the restore copy can even lose.
+// speedup is measured on provably equivalent work. The window sits just below
+// that tail checkpoint (stride 1) because that is where the prefix replay is
+// most expensive and where real sweeps spend their time; shallow boundaries
+// amortise nothing and the restore copy can even lose.
 //
 // main() measures best-of-3 interleaved reps and merges a "torture_snapshot"
 // record into $POFI_BENCH_DIR/BENCH_micro.json (read-modify-write via the
@@ -38,10 +40,12 @@ namespace {
 using namespace pofi;
 
 constexpr std::uint64_t kWindowPoints = 32;
+constexpr std::uint64_t kDenseInterval = 256;
+constexpr std::uint64_t kBaselineOnlyInterval = 1'000'000'000;
 
-/// The smoke-lattice shape scaled to a schedule long enough that full replay
-/// per point dominates the shared audit/recovery cost. The window is filled
-/// in by place_window() once the schedule length is known.
+/// The smoke-lattice shape scaled to a schedule long enough that the prefix
+/// replay per point dominates the shared audit/recovery cost. The window is
+/// filled in by place_window() once the tail checkpoint is known.
 torture::TortureConfig sweep_config() {
   torture::TortureConfig cfg;
   cfg.name = "bench-torture-snapshot";
@@ -60,18 +64,21 @@ torture::TortureConfig sweep_config() {
   cfg.window_count = kWindowPoints;
   cfg.shard_points = 8;
   cfg.shrink = false;
-  cfg.snapshot_interval = 256;
+  cfg.snapshot_interval = kDenseInterval;
   cfg.runner.threads = 1;  // serial: the record measures the algorithm, not the pool
   return cfg;
 }
 
-/// Dry-run the schedule once to learn B, then park the stride-1 window just
-/// below it -- every point then costs a near-full replay on the A side.
+/// Pilot the schedule once without intermediate checkpoints and park the
+/// stride-1 window just below its deepest one (the drained tail) -- every
+/// point then costs a near-full prefix replay on the baseline-only side.
 void place_window(torture::TortureConfig& cfg) {
   platform::TestPlatform tp(cfg.drive, cfg.platform, cfg.seed);
   torture::CrashHarness harness(cfg);
-  const std::uint64_t events = harness.measure_schedule(tp);
-  cfg.window_first = events > kWindowPoints + 1 ? events - kWindowPoints - 1 : 1;
+  torture::SchedulePilot pilot;
+  (void)harness.run_pilot(tp, pilot, kBaselineOnlyInterval);
+  const std::uint64_t deepest = pilot.snapshots.back().boundary;
+  cfg.window_first = deepest > kWindowPoints + 1 ? deepest - kWindowPoints - 1 : 1;
 }
 
 double timed_seconds(const std::function<void()>& fn) {
@@ -85,23 +92,21 @@ void write_torture_snapshot_record() {
 
   torture::TortureConfig cfg = sweep_config();
   place_window(cfg);
-
-  torture::ExploreOptions snapshot_side;
-  torture::ExploreOptions full_side;
-  full_side.use_snapshots = false;
+  torture::TortureConfig baseline_only = cfg;
+  baseline_only.snapshot_interval = kBaselineOnlyInterval;
 
   // Equivalence gate first (doubles as warmup): the two sides must agree on
   // every verdict counter or the speedup is measuring different work.
-  const torture::ExploreReport a = torture::explore(cfg, snapshot_side);
-  const torture::ExploreReport b = torture::explore(cfg, full_side);
+  const torture::ExploreReport a = torture::explore(cfg);
+  const torture::ExploreReport b = torture::explore(baseline_only);
   const bool equivalent = a.schedule_events == b.schedule_events &&
                           a.points_explored == b.points_explored &&
                           a.points_injected == b.points_injected &&
                           a.total_violations == b.total_violations;
   if (!equivalent) {
     std::fprintf(stderr,
-                 "torture_snapshot A/B DIVERGED: snapshot %llu/%llu/%llu vs "
-                 "full %llu/%llu/%llu -- record not written\n",
+                 "torture_snapshot A/B DIVERGED: dense %llu/%llu/%llu vs "
+                 "baseline-only %llu/%llu/%llu -- record not written\n",
                  static_cast<unsigned long long>(a.points_explored),
                  static_cast<unsigned long long>(a.points_injected),
                  static_cast<unsigned long long>(a.total_violations),
@@ -112,26 +117,26 @@ void write_torture_snapshot_record() {
   }
 
   // Interleave reps so shared-box slow phases hit both sides evenly.
-  double best_snapshot = 1e30;
-  double best_full = 1e30;
+  double best_dense = 1e30;
+  double best_baseline_only = 1e30;
   for (int r = 0; r < kReps; ++r) {
-    best_full = std::min(best_full, timed_seconds([&] {
-      benchmark::DoNotOptimize(torture::explore(cfg, full_side));
+    best_baseline_only = std::min(best_baseline_only, timed_seconds([&] {
+      benchmark::DoNotOptimize(torture::explore(baseline_only));
     }));
-    best_snapshot = std::min(best_snapshot, timed_seconds([&] {
-      benchmark::DoNotOptimize(torture::explore(cfg, snapshot_side));
+    best_dense = std::min(best_dense, timed_seconds([&] {
+      benchmark::DoNotOptimize(torture::explore(cfg));
     }));
   }
 
-  const double speedup = best_full / best_snapshot;
+  const double speedup = best_baseline_only / best_dense;
   std::printf("\n-- torture sweep A/B (%llu stride-1 points at depth %llu of %llu events, "
               "best of %d) --\n",
               static_cast<unsigned long long>(a.points_explored),
               static_cast<unsigned long long>(cfg.window_first),
               static_cast<unsigned long long>(a.schedule_events), kReps);
-  std::printf("full replay: %.3f s   snapshot restore: %.3f s   speedup: %.2fx"
+  std::printf("baseline-only restore: %.3f s   dense restore: %.3f s   speedup: %.2fx"
               "   (floor >= 3x, target >= 5x)\n",
-              best_full, best_snapshot, speedup);
+              best_baseline_only, best_dense, speedup);
 
   const char* dir = std::getenv("POFI_BENCH_DIR");
   const std::string path = std::string(dir == nullptr ? "." : dir) + "/BENCH_micro.json";
@@ -143,15 +148,15 @@ void write_torture_snapshot_record() {
   }
   spec::Value rec = spec::Value::object();
   rec.set("workload",
-          "stride-1 crash-point sweep at the deep end of the schedule, "
-          "snapshot-restore vs full-replay through torture::explore(), "
-          "verdict-equivalence checked before timing");
+          "stride-1 crash-point sweep just below the drained-tail checkpoint, "
+          "snapshot_interval 256 vs 1e9 (baseline-only restore) through "
+          "torture::explore(), verdict-equivalence checked before timing");
   rec.set("schedule_events", static_cast<std::int64_t>(a.schedule_events));
   rec.set("window_first", static_cast<std::int64_t>(cfg.window_first));
   rec.set("points", static_cast<std::int64_t>(a.points_explored));
   rec.set("snapshot_interval", static_cast<std::int64_t>(cfg.snapshot_interval));
-  rec.set("full_seconds", best_full);
-  rec.set("snapshot_seconds", best_snapshot);
+  rec.set("baseline_only_seconds", best_baseline_only);
+  rec.set("dense_seconds", best_dense);
   rec.set("speedup", speedup);
   root.set("torture_snapshot", std::move(rec));
 
@@ -177,16 +182,15 @@ void BM_SweepSnapshot(benchmark::State& state) {
 }
 BENCHMARK(BM_SweepSnapshot)->Unit(benchmark::kMillisecond);
 
-void BM_SweepFullReplay(benchmark::State& state) {
+void BM_SweepBaselineOnly(benchmark::State& state) {
   torture::TortureConfig cfg = sweep_config();
   place_window(cfg);
-  torture::ExploreOptions full;
-  full.use_snapshots = false;
+  cfg.snapshot_interval = kBaselineOnlyInterval;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(torture::explore(cfg, full));
+    benchmark::DoNotOptimize(torture::explore(cfg));
   }
 }
-BENCHMARK(BM_SweepFullReplay)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SweepBaselineOnly)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

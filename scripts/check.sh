@@ -47,8 +47,9 @@ echo "==> TSan: ctest (runner + resilience + suite + event-kernel fuzz + obs reg
 # slot handoff and the acquire() counters are race-free.
 # SnapshotIntervalNeverChangesVerdicts is excluded here only: it sweeps
 # snapshot cadences at threads=1 (nothing concurrent to instrument) and the
-# interval=1 pilot copies the full device image at every boundary, which
-# costs ~10 min under TSan. It still runs in tier-1 ctest and UBSan below.
+# interval=1 pilots (sweep and every shrink probe) copy the full device image
+# at every boundary, which costs many minutes under TSan. It still runs in
+# tier-1 ctest and UBSan below.
 TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
   ctest --test-dir build-tsan --output-on-failure -j "${JOBS}" \
         -R 'CampaignRunner|RunnerDeterminism|RunnerResilience|JsonlProgressSink|CampaignSuite|EventQueueFuzz|EventQueueClear|ObsConcurrency|SessionFuzz|TortureExplorer' \
@@ -70,8 +71,9 @@ echo "==> UBSan: ctest (retry + checkpoint + resume determinism + obs codec + NA
 # — dynamic_cast recovery in acquire(), RNG re-fork label hashing, heap
 # container restores — so the differential fuzz and the zero-alloc reset
 # proof run instrumented too. The device-state snapshot protocol rides the
-# same stage: its zero-alloc proof, the snapshot-vs-full-replay differential
-# (TortureExplorer) and the restore-identity golden (DeterminismGolden).
+# same stage: its zero-alloc proof, the restored sweeps against the frozen
+# full-replay goldens (TortureExplorer) and the restore-identity golden
+# (DeterminismGolden).
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}" \
   ctest --test-dir build-ubsan --output-on-failure -j "${JOBS}" \
         -R 'RunnerResilience|CampaignStatusTaxonomy|JsonlProgressSink|Checkpoint|DeterminismGolden|ObsMetrics|ObsTrace|ObsAttribution|BlockArena|NandChipFuzz|NandChipTouchedBlocks|NandAllocFree|SessionFuzz|SessionAlloc|SnapshotAlloc|TortureAuditor|TortureExplorer'

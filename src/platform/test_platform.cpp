@@ -69,17 +69,7 @@ void TestPlatform::reset(const PlatformConfig& platform_config, std::uint64_t se
   analyzer_->reset();
   scheduler_->reset(sim_.fork_rng("scheduler"));
   // generator_ adopts the next run()'s workload in place.
-  io_active_ = false;
-  ran_ = false;
-  open_loop_mode_ = true;
-  pace_iops_ = 5.0;
-  next_packet_id_ = 1;
-  requests_submitted_ = 0;
-  cycle_requests_ = 0;
-  cycle_budget_ = 0;
-  write_acks_ = 0;
-  reads_completed_ = 0;
-  fault_index_ = 0;
+  run_ = RunState{};
 }
 
 void TestPlatform::snapshot(StateImage& out) const {
@@ -96,17 +86,7 @@ void TestPlatform::snapshot(StateImage& out) const {
   out.platform_rng = rng_.state();
   out.has_metrics = metrics_ != nullptr;
   if (metrics_) metrics_->snapshot_values(out.metrics);
-  out.io_active = io_active_;
-  out.ran = ran_;
-  out.open_loop_mode = open_loop_mode_;
-  out.pace_iops = pace_iops_;
-  out.next_packet_id = next_packet_id_;
-  out.requests_submitted = requests_submitted_;
-  out.cycle_requests = cycle_requests_;
-  out.cycle_budget = cycle_budget_;
-  out.write_acks = write_acks_;
-  out.reads_completed = reads_completed_;
-  out.fault_index = fault_index_;
+  out.run = run_;
 }
 
 void TestPlatform::restore(const StateImage& image, sim::TimerRearmer& rearm) {
@@ -125,17 +105,7 @@ void TestPlatform::restore(const StateImage& image, sim::TimerRearmer& rearm) {
   shadow_.restore(image.shadow);
   analyzer_->restore(image.analyzer);
   scheduler_->restore(image.scheduler);
-  io_active_ = image.io_active;
-  ran_ = image.ran;
-  open_loop_mode_ = image.open_loop_mode;
-  pace_iops_ = image.pace_iops;
-  next_packet_id_ = image.next_packet_id;
-  requests_submitted_ = image.requests_submitted;
-  cycle_requests_ = image.cycle_requests;
-  cycle_budget_ = image.cycle_budget;
-  write_acks_ = image.write_acks;
-  reads_completed_ = image.reads_completed;
-  fault_index_ = image.fault_index;
+  run_ = image.run;
 }
 
 void TestPlatform::run_while(const std::function<bool()>& pred, std::uint64_t max_events) {
@@ -150,12 +120,12 @@ void TestPlatform::run_while(const std::function<bool()>& pred, std::uint64_t ma
 // --------------------------------------------------------------- IO engine
 
 void TestPlatform::start_io() {
-  io_active_ = true;
-  cycle_requests_ = 0;
+  run_.io_active = true;
+  run_.cycle_requests = 0;
   double rate = generator_->config().target_iops;
-  if (rate <= 0.0) rate = pace_iops_;
-  open_loop_mode_ = rate > 0.0;
-  if (open_loop_mode_) {
+  if (rate <= 0.0) rate = run_.pace_iops;
+  run_.open_loop_mode = rate > 0.0;
+  if (run_.open_loop_mode) {
     // Open loop: Poisson arrivals at the chosen rate.
     open_loop_step(1.0 / rate);
   } else {
@@ -167,31 +137,31 @@ void TestPlatform::start_io() {
 }
 
 void TestPlatform::open_loop_step(double mean_gap_sec) {
-  if (!io_active_) return;
+  if (!run_.io_active) return;
   // The generator does not know about the fault schedule: it keeps issuing
   // even as the rail dies (that is the paper's IO-error channel). It stops
-  // once it observes an error (handle_outcome clears io_active_).
-  if (cycle_requests_ < cycle_budget_) {
+  // once it observes an error (handle_outcome clears run_.io_active).
+  if (run_.cycle_requests < run_.cycle_budget) {
     submit_one(generator_->next());
   }
   sim_.after(sim::Duration::sec_f(rng_.exponential(mean_gap_sec)),
              [this, mean_gap_sec] { open_loop_step(mean_gap_sec); });
 }
 
-void TestPlatform::stop_io() { io_active_ = false; }
+void TestPlatform::stop_io() { run_.io_active = false; }
 
 void TestPlatform::io_chain_step() {
-  if (!io_active_ || !ssd_->ready()) return;     // chain ends at device death
-  if (cycle_requests_ >= cycle_budget_) return;  // per-cycle ceiling reached
+  if (!run_.io_active || !ssd_->ready()) return;         // chain ends at device death
+  if (run_.cycle_requests >= run_.cycle_budget) return;  // per-cycle ceiling reached
   submit_one(generator_->next());
 }
 
 void TestPlatform::submit_one(RequestSpec spec) {
-  ++requests_submitted_;
-  ++cycle_requests_;
+  ++run_.requests_submitted;
+  ++run_.cycle_requests;
 
   DataPacket p;
-  p.packet_id = next_packet_id_++;
+  p.packet_id = run_.next_packet_id++;
   p.op = spec.op;
   p.address = spec.lpn;
   p.size_pages = spec.pages;
@@ -219,16 +189,16 @@ void TestPlatform::submit_one(RequestSpec spec) {
 }
 
 void TestPlatform::handle_outcome(DataPacket packet, blk::RequestOutcome out) {
-  const bool closed_loop = !open_loop_mode_;
+  const bool closed_loop = !run_.open_loop_mode;
   if (out.status == blk::IoStatus::kOk) {
     packet.complete_time = out.finished_at;
     packet.modified = true;
     if (packet.op == OpType::kWrite) {
-      ++write_acks_;
+      ++run_.write_acks;
       shadow_.commit_write(packet.address, packet.page_tags);
       analyzer_->note_acked_write(std::move(packet));
     } else {
-      ++reads_completed_;
+      ++run_.reads_completed;
       packet.final_checksum = workload::combine_tags(out.read_contents);
       analyzer_->note_read_result(packet, out.read_contents);
     }
@@ -243,16 +213,16 @@ void TestPlatform::handle_outcome(DataPacket packet, blk::RequestOutcome out) {
     }
     // First observed error: the generator realises the device is gone and
     // stops issuing (closed-loop chains end by simply not respawning).
-    io_active_ = false;
+    run_.io_active = false;
   }
 }
 
 // --------------------------------------------------------------- campaigns
 
 ExperimentResult TestPlatform::run(const ExperimentSpec& spec) {
-  assert(!ran_ && "a TestPlatform runs exactly one campaign");
-  ran_ = true;
-  pace_iops_ = spec.pace_iops;
+  assert(!run_.ran && "a TestPlatform runs exactly one campaign");
+  run_.ran = true;
+  run_.pace_iops = spec.pace_iops;
   if (generator_) {
     generator_->reset(spec.workload, sim_.fork_rng("workload"));
   } else {
@@ -274,9 +244,9 @@ ExperimentResult TestPlatform::run(const ExperimentSpec& spec) {
     run_fixed_delay_campaign(spec, result);
   }
 
-  result.requests_submitted = requests_submitted_;
-  result.write_acks = write_acks_;
-  result.reads_completed = reads_completed_;
+  result.requests_submitted = run_.requests_submitted;
+  result.write_acks = run_.write_acks;
+  result.reads_completed = run_.reads_completed;
   const AnalyzerCounters& c = analyzer_->counters();
   result.data_failures = c.data_failures;
   result.fwa_failures = c.fwa_failures;
@@ -294,7 +264,7 @@ ExperimentResult TestPlatform::run(const ExperimentSpec& spec) {
   result.max_latency_us = queue_->stats().latency_us.max();
   if (result.active_seconds > 0.0) {
     result.responded_iops =
-        static_cast<double>(write_acks_ + reads_completed_) / result.active_seconds;
+        static_cast<double>(run_.write_acks + run_.reads_completed) / result.active_seconds;
   }
   if (metrics_) result.metrics = metrics_->snapshot();
   return result;
@@ -311,7 +281,7 @@ void TestPlatform::power_cycle_and_verify(ExperimentResult& result,
   run_while([&] { return !ssd_->ready(); });
 
   bool verified = false;
-  analyzer_->verify_pending(fault_command_time, fault_index_, [&verified] { verified = true; });
+  analyzer_->verify_pending(fault_command_time, run_.fault_index, [&verified] { verified = true; });
   run_while([&] { return !verified; });
   ++result.faults_injected;
   if (config_.trace_enabled) queue_->trace().clear();
@@ -321,11 +291,11 @@ void TestPlatform::run_random_fault_campaign(const ExperimentSpec& spec,
                                              ExperimentResult& result) {
   const std::uint64_t budget_per_cycle =
       std::max<std::uint64_t>(1, spec.total_requests / std::max(1u, spec.faults));
-  for (fault_index_ = 0; fault_index_ < spec.faults; ++fault_index_) {
-    cycle_budget_ = budget_per_cycle * 2;  // hard ceiling per cycle
+  for (run_.fault_index = 0; run_.fault_index < spec.faults; ++run_.fault_index) {
+    run_.cycle_budget = budget_per_cycle * 2;  // hard ceiling per cycle
     const sim::TimePoint io_start = sim_.now();
     start_io();
-    run_while([&] { return cycle_requests_ < budget_per_cycle && io_active_; });
+    run_while([&] { return run_.cycle_requests < budget_per_cycle && run_.io_active; });
 
     // Scheduler: the fault lands a random beat after the budget is reached.
     scheduler_->arm_fault(spec.fault_jitter);
@@ -339,16 +309,16 @@ void TestPlatform::run_random_fault_campaign(const ExperimentSpec& spec,
 
 void TestPlatform::run_fixed_delay_campaign(const ExperimentSpec& spec,
                                             ExperimentResult& result) {
-  cycle_budget_ = ~0ULL;
-  for (fault_index_ = 0; fault_index_ < spec.faults; ++fault_index_) {
+  run_.cycle_budget = ~0ULL;
+  for (run_.fault_index = 0; run_.fault_index < spec.faults; ++run_.fault_index) {
     // One write request, forced regardless of the workload's read fraction.
     RequestSpec rs = generator_->next();
     rs.op = OpType::kWrite;
-    io_active_ = true;
-    const std::uint64_t acks_before = write_acks_;
+    run_.io_active = true;
+    const std::uint64_t acks_before = run_.write_acks;
     submit_one(rs);
-    run_while([&] { return write_acks_ == acks_before; });
-    if (write_acks_ == acks_before) break;  // write never ACKed; give up
+    run_while([&] { return run_.write_acks == acks_before; });
+    if (run_.write_acks == acks_before) break;  // write never ACKed; give up
 
     // Let exactly post_ack_delay elapse after the ACK, then cut power.
     sim_.run_for(spec.post_ack_delay);

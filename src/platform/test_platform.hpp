@@ -98,6 +98,22 @@ class TestPlatform {
            analyzer_->quiescent();
   }
 
+  /// The campaign loop's scalar run state, kept as one value so reset(),
+  /// snapshot() and restore() each handle it in a single assignment.
+  struct RunState {
+    bool io_active = false;
+    bool ran = false;
+    bool open_loop_mode = true;
+    double pace_iops = 5.0;
+    std::uint64_t next_packet_id = 1;
+    std::uint64_t requests_submitted = 0;
+    std::uint64_t cycle_requests = 0;
+    std::uint64_t cycle_budget = 0;
+    std::uint64_t write_acks = 0;
+    std::uint64_t reads_completed = 0;
+    std::uint32_t fault_index = 0;
+  };
+
   /// Copyable whole-stack state at a quiescent boundary. The lazily-built
   /// workload generator is the campaign driver's, not the torture path's —
   /// the crash harness owns its own generator and images it itself.
@@ -114,17 +130,7 @@ class TestPlatform {
     std::array<std::uint64_t, 4> platform_rng{};
     bool has_metrics = false;
     obs::MetricRegistry::ValueImage metrics;
-    bool io_active = false;
-    bool ran = false;
-    bool open_loop_mode = true;
-    double pace_iops = 5.0;
-    std::uint64_t next_packet_id = 1;
-    std::uint64_t requests_submitted = 0;
-    std::uint64_t cycle_requests = 0;
-    std::uint64_t cycle_budget = 0;
-    std::uint64_t write_acks = 0;
-    std::uint64_t reads_completed = 0;
-    std::uint32_t fault_index = 0;
+    RunState run;
   };
 
   void snapshot(StateImage& out) const;
@@ -177,18 +183,7 @@ class TestPlatform {
   std::unique_ptr<FaultScheduler> scheduler_;
   std::unique_ptr<workload::WorkloadGenerator> generator_;
   sim::Rng rng_;
-
-  bool io_active_ = false;
-  bool ran_ = false;
-  bool open_loop_mode_ = true;
-  double pace_iops_ = 5.0;
-  std::uint64_t next_packet_id_ = 1;
-  std::uint64_t requests_submitted_ = 0;
-  std::uint64_t cycle_requests_ = 0;
-  std::uint64_t cycle_budget_ = 0;
-  std::uint64_t write_acks_ = 0;
-  std::uint64_t reads_completed_ = 0;
-  std::uint32_t fault_index_ = 0;
+  RunState run_;
 };
 
 }  // namespace pofi::platform

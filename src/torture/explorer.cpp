@@ -44,9 +44,19 @@ struct ProbeHit {
   return points;
 }
 
-/// Sequentially probe one shrink candidate: measure the n-request schedule,
-/// then walk its lattice until the first violation. Early-exits, own pooled
-/// slot (kept across probes by the caller).
+/// One crash point on the single crash-point path: restore the pilot's
+/// nearest checkpoint at or before `k` onto the slot's pooled platform,
+/// replay the residual window, inject, remount, audit.
+[[nodiscard]] CrashOutcome crash_at(CrashHarness& harness, runner::SessionSlot& slot,
+                                    const TortureConfig& cfg, const platform::PlatformConfig& pc,
+                                    const SchedulePilot& pilot, std::uint64_t k) {
+  platform::TestPlatform& tp = runner::ExperimentSession::acquire_for_restore(slot, cfg.drive, pc);
+  return harness.run_crash_point_from(tp, pilot, pilot.nearest_at_or_before(k), k);
+}
+
+/// Sequentially probe one shrink candidate: pilot the n-request schedule on
+/// the pooled slot, then walk its lattice until the first violation.
+/// Early-exits, own pooled slot (kept across probes by the caller).
 [[nodiscard]] std::optional<ProbeHit> probe_prefix(const TortureConfig& base,
                                                    std::uint64_t requests,
                                                    const ExploreOptions& options,
@@ -57,14 +67,13 @@ struct ProbeHit {
   const platform::PlatformConfig pc = run_platform_config(sub, options);
 
   CrashHarness harness(sub);
-  platform::TestPlatform& measured =
-      runner::ExperimentSession::acquire(slot, sub.drive, pc, sub.seed);
-  const std::uint64_t events = harness.measure_schedule(measured);
+  SchedulePilot pilot;
+  const std::uint64_t events = harness.run_pilot(
+      runner::ExperimentSession::acquire(slot, sub.drive, pc, sub.seed), pilot,
+      sub.snapshot_interval);
 
   for (const std::uint64_t k : plan_points(sub, events)) {
-    platform::TestPlatform& tp =
-        runner::ExperimentSession::acquire(slot, sub.drive, pc, sub.seed);
-    CrashOutcome out = harness.run_crash_point(tp, k);
+    CrashOutcome out = crash_at(harness, slot, sub, pc, pilot, k);
     if (!out.report.ok()) {
       return ProbeHit{k, std::move(out.report), harness.recorded_requests()};
     }
@@ -77,22 +86,18 @@ struct ProbeHit {
 ExploreReport explore(const TortureConfig& cfg, const ExploreOptions& options) {
   ExploreReport report;
   const platform::PlatformConfig pc = run_platform_config(cfg, options);
-  const bool use_snapshots = options.use_snapshots && cfg.snapshot_interval > 0;
 
   // --- Golden run: how long is the schedule? --------------------------------
-  // With snapshots on, the golden run doubles as the pilot: it records a
-  // device-state checkpoint every ~snapshot_interval quiescent boundaries,
-  // firing exactly the events measure_schedule() would. The pilot is shared
-  // read-only by every shard worker below.
+  // The golden run is the pilot: it records a device-state checkpoint at the
+  // baseline and every ~snapshot_interval quiescent boundaries after it. The
+  // pilot is shared read-only by every shard worker below.
   SchedulePilot pilot;
   {
     runner::SessionSlot slot;
     CrashHarness harness(cfg);
-    platform::TestPlatform& tp =
-        runner::ExperimentSession::acquire(slot, cfg.drive, pc, cfg.seed);
-    report.schedule_events = use_snapshots
-                                 ? harness.run_pilot(tp, pilot, cfg.snapshot_interval)
-                                 : harness.measure_schedule(tp);
+    report.schedule_events = harness.run_pilot(
+        runner::ExperimentSession::acquire(slot, cfg.drive, pc, cfg.seed), pilot,
+        cfg.snapshot_interval);
   }
 
   const std::vector<std::uint64_t> points = plan_points(cfg, report.schedule_events);
@@ -154,28 +159,14 @@ ExploreReport explore(const TortureConfig& cfg, const ExploreOptions& options) {
       rn.add_completed(label, std::move(it->second.result));
       continue;
     }
-    rn.add(label, [&cfg, &options, &points, &findings, &findings_mutex, &pilot, use_snapshots,
-                   label, begin, end](runner::SessionSlot& slot) {
+    rn.add(label, [&cfg, &options, &points, &findings, &findings_mutex, &pilot, label, begin,
+                   end](runner::SessionSlot& slot) {
       platform::ExperimentResult res;
       res.name = label;
       const platform::PlatformConfig shard_pc = run_platform_config(cfg, options);
       CrashHarness harness(cfg);
       for (std::size_t i = begin; i < end; ++i) {
-        // Snapshot path: restore the nearest pilot checkpoint at or before
-        // the point and replay only the residual window. Fall back to a full
-        // replay when no checkpoint covers the point.
-        const HarnessSnapshot* snap =
-            use_snapshots ? pilot.nearest_at_or_before(points[i]) : nullptr;
-        CrashOutcome out;
-        if (snap != nullptr) {
-          platform::TestPlatform& tp =
-              runner::ExperimentSession::acquire_for_restore(slot, cfg.drive, shard_pc);
-          out = harness.run_crash_point_from(tp, pilot, *snap, points[i]);
-        } else {
-          platform::TestPlatform& tp =
-              runner::ExperimentSession::acquire(slot, cfg.drive, shard_pc, cfg.seed);
-          out = harness.run_crash_point(tp, points[i]);
-        }
+        CrashOutcome out = crash_at(harness, slot, cfg, shard_pc, pilot, points[i]);
         res.requests_submitted += harness.recorded_requests().size();
         if (out.injected) ++res.faults_injected;
         if (!out.report.ok()) {
@@ -208,6 +199,9 @@ ExploreReport explore(const TortureConfig& cfg, const ExploreOptions& options) {
   }
 
   report.outcomes = rn.run();
+  // Free the checkpoints before shrinking: each probe pilots its own prefix,
+  // and at dense cadences one pilot's images alone can run to gigabytes.
+  pilot = SchedulePilot{};
 
   // --- Aggregate (submission order, so identical at any thread count) -------
   for (std::size_t shard = 0; shard < report.outcomes.size(); ++shard) {

@@ -1,12 +1,13 @@
 // Systematic crash-point exploration with checkpointed fan-out and repro
 // shrinking.
 //
-// explore() is the torture subsystem's entry point. It measures the golden
-// schedule once (B event boundaries from mount to quiescence), plans the
-// injection lattice {window_first + i*stride | i < window_count} ∩ [0, B),
-// and fans the points out across runner::CampaignRunner in deterministic
-// seed-sharded groups: each shard is one session-pooled campaign entry that
-// crashes, remounts and audits `shard_points` consecutive lattice points.
+// explore() is the torture subsystem's entry point. It runs the golden
+// schedule once as a checkpointing pilot (B event boundaries from mount to
+// quiescence), plans the injection lattice
+// {window_first + i*stride | i < window_count} ∩ [0, B), and fans the points
+// out across runner::CampaignRunner in deterministic seed-sharded groups:
+// each shard is one session-pooled campaign entry that restores, crashes,
+// remounts and audits `shard_points` consecutive lattice points.
 // Shard results checkpoint through the JSONL codec under the torture spec's
 // content hash, so a killed exploration resumes; shards that found
 // violations are deliberately never checkpointed (kAuditFailed is not a
@@ -51,11 +52,6 @@ struct ExploreOptions {
   spec::ResumeStats* resume_stats = nullptr;
   /// Write the shrunk repro spec to this file (empty keeps it in-memory only).
   std::string repro_path;
-  /// Restore pilot-run device-state snapshots instead of replaying the full
-  /// schedule prefix at every lattice point (O(schedule) sweeps instead of
-  /// O(points x schedule)). Verdicts are byte-identical either way; false is
-  /// the A/B reference path (pofi_run --no-snapshot).
-  bool use_snapshots = true;
 };
 
 struct ExploreReport {

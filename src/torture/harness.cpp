@@ -23,7 +23,7 @@ void CrashHarness::run_sim_until(Pred stop, const char* what) {
       throw std::runtime_error(std::string("torture harness: simulator idle while ") + what);
     }
     sim.run_all(4096);
-    if (sim.events_fired() > base_ + kRunEventBudget) {
+    if (sim.events_fired() > cursor_.base + kRunEventBudget) {
       throw std::runtime_error(std::string("torture harness: event budget exhausted while ") +
                                what);
     }
@@ -32,9 +32,6 @@ void CrashHarness::run_sim_until(Pred stop, const char* what) {
 
 void CrashHarness::begin_run(platform::TestPlatform& tp) {
   tp_ = &tp;
-  gen_.reset();
-  submitted_ = 0;
-  next_key_ = 1;
   halted_ = false;
   pump_event_ = {};
   outstanding_.clear();
@@ -42,9 +39,10 @@ void CrashHarness::begin_run(platform::TestPlatform& tp) {
 
   sim::Simulator& sim = tp.simulator();
   // Power-up and mount, exactly like the platform's own campaign prologue.
-  // base_ is 0 during the mount so run_sim_until's budget is measured from
-  // the true start.
-  base_ = sim.events_fired();
+  // The baseline is the true start during the mount, so run_sim_until's
+  // budget is measured from there.
+  cursor_ = HarnessCursor();
+  cursor_.base = sim.events_fired();
   tp.scheduler().command_on();
   run_sim_until([&] { return tp.device().ready(); }, "mounting");
 
@@ -55,21 +53,21 @@ void CrashHarness::begin_run(platform::TestPlatform& tp) {
   // Everything after this boundary is the explorable schedule. The workload
   // and pace streams fork under fixed labels from the reseeded master, so
   // the k-th boundary names the same machine state in every run.
-  base_ = sim.events_fired();
+  cursor_.base = sim.events_fired();
   gen_.emplace(cfg_.workload, sim.fork_rng("torture-workload"));
-  pace_rng_ = sim.fork_rng("torture-pace");
-  const double gap = pace_rng_.exponential(1.0 / cfg_.pace_iops);
+  cursor_.pace_rng = sim.fork_rng("torture-pace");
+  const double gap = cursor_.pace_rng.exponential(1.0 / cfg_.pace_iops);
   pump_event_ = sim.after(sim::Duration::sec_f(gap), [this] { pump(); });
 }
 
 void CrashHarness::pump() {
-  if (halted_ || submitted_ >= cfg_.requests) return;
+  if (halted_ || cursor_.submitted >= cfg_.requests) return;
   const workload::RequestSpec spec = gen_->next();
   recorded_.push_back(spec);
-  ++submitted_;
+  ++cursor_.submitted;
   submit(spec);
-  if (submitted_ < cfg_.requests) {
-    const double gap = pace_rng_.exponential(1.0 / cfg_.pace_iops);
+  if (cursor_.submitted < cfg_.requests) {
+    const double gap = cursor_.pace_rng.exponential(1.0 / cfg_.pace_iops);
     pump_event_ = tp_->simulator().after(sim::Duration::sec_f(gap), [this] { pump(); });
   }
 }
@@ -78,7 +76,7 @@ void CrashHarness::submit(const workload::RequestSpec& spec) {
   blk::BlockQueue& queue = tp_->block_queue();
   if (spec.op == workload::OpType::kWrite) {
     std::vector<std::uint64_t> tags = tp_->shadow().allocate_tags(spec.pages);
-    const std::uint64_t key = next_key_++;
+    const std::uint64_t key = cursor_.next_key++;
     outstanding_.emplace(key, PendingWrite{spec.lpn, tags});
     queue.submit_write(spec.lpn, std::move(tags), [this, key](blk::RequestOutcome out) {
       on_write_done(key, out.status);
@@ -102,17 +100,8 @@ void CrashHarness::on_write_done(std::uint64_t key, blk::IoStatus status) {
 }
 
 bool CrashHarness::drained() const {
-  return submitted_ >= cfg_.requests && outstanding_.empty() &&
+  return cursor_.submitted >= cfg_.requests && outstanding_.empty() &&
          tp_->block_queue().outstanding() == 0 && tp_->device().cache().dirty_pages() == 0;
-}
-
-std::uint64_t CrashHarness::measure_schedule(platform::TestPlatform& tp) {
-  begin_run(tp);
-  run_sim_until([&] { return drained(); }, "running the golden schedule");
-  // Margin: let the journal cut and commit what the drain left volatile, so
-  // boundaries cover the tail where recovery depends on the final commits.
-  tp.simulator().run_for(cfg_.drive.ftl.journal_interval * 2);
-  return tp.simulator().events_fired() - base_;
 }
 
 bool CrashHarness::quiescent_for_snapshot() const {
@@ -127,11 +116,8 @@ bool CrashHarness::quiescent_for_snapshot() const {
 
 void CrashHarness::capture(HarnessSnapshot& snap) const {
   sim::Simulator& sim = tp_->simulator();
-  snap.boundary = sim.events_fired() - base_;
-  snap.base = base_;
-  snap.submitted = submitted_;
-  snap.next_key = next_key_;
-  snap.pace_rng = pace_rng_.state();
+  snap.boundary = sim.events_fired() - cursor_.base;
+  snap.cursor = cursor_;
   gen_->snapshot(snap.gen);
   snap.pump.armed = sim.event_pending(pump_event_);
   snap.pump.deadline = sim.event_time(pump_event_);
@@ -144,38 +130,49 @@ std::uint64_t CrashHarness::run_pilot(platform::TestPlatform& tp, SchedulePilot&
   begin_run(tp);
   sim::Simulator& sim = tp.simulator();
   if (snapshot_interval == 0) snapshot_interval = 1;
-  out.snapshots.clear();
 
-  // Mirror measure_schedule()'s run loop *exactly* — drained() evaluated only
-  // at 4096-event chunk boundaries, so B includes the same chunk overshoot —
-  // while stepping singly inside each chunk to see every quiescent boundary.
-  // Captures are pure reads, so the event stream is byte-identical.
-  std::uint64_t next_capture = 0;  // the baseline itself is eligible
+  // Every crash point restores a checkpoint at or before it, so the
+  // post-mount baseline is the checkpoint of last resort and must exist.
+  if (!quiescent_for_snapshot()) {
+    throw std::runtime_error("torture harness: post-mount baseline of '" + cfg_.name +
+                             "' is not quiescent, so it cannot be checkpointed");
+  }
+  out.snapshots.clear();
+  out.snapshots.emplace_back();
+  capture(out.snapshots.back());
+
+  // drained() is evaluated only at 4096-event chunk boundaries, so B includes
+  // the chunk overshoot; run_crash_point's approach loop checks at the same
+  // boundaries, which decides which tail points are injected. Stepping singly
+  // inside each chunk sees every quiescent boundary; captures are pure reads.
+  std::uint64_t next_capture = snapshot_interval;
   while (!drained()) {
     if (sim.idle()) {
       throw std::runtime_error("torture harness: simulator idle while running the pilot");
     }
     for (std::uint32_t step = 0; step < 4096 && !sim.idle(); ++step) {
-      if (sim.events_fired() - base_ >= next_capture && quiescent_for_snapshot()) {
+      if (sim.events_fired() - cursor_.base >= next_capture && quiescent_for_snapshot()) {
         out.snapshots.emplace_back();
         capture(out.snapshots.back());
-        next_capture = (sim.events_fired() - base_) + snapshot_interval;
+        next_capture = (sim.events_fired() - cursor_.base) + snapshot_interval;
       }
       sim.run_all(1);
     }
-    if (sim.events_fired() > base_ + kRunEventBudget) {
+    if (sim.events_fired() > cursor_.base + kRunEventBudget) {
       throw std::runtime_error("torture harness: event budget exhausted while running the pilot");
     }
   }
   // One tail checkpoint at the drained chunk boundary, interval
   // notwithstanding: points late in the window restore from here.
   if (quiescent_for_snapshot() &&
-      (out.snapshots.empty() || out.snapshots.back().boundary < sim.events_fired() - base_)) {
+      out.snapshots.back().boundary < sim.events_fired() - cursor_.base) {
     out.snapshots.emplace_back();
     capture(out.snapshots.back());
   }
+  // Margin: let the journal cut and commit what the drain left volatile, so
+  // boundaries cover the tail where recovery depends on the final commits.
   sim.run_for(cfg_.drive.ftl.journal_interval * 2);
-  out.schedule_events = sim.events_fired() - base_;
+  out.schedule_events = sim.events_fired() - cursor_.base;
   out.recording = recorded_;
   return out.schedule_events;
 }
@@ -183,14 +180,11 @@ std::uint64_t CrashHarness::run_pilot(platform::TestPlatform& tp, SchedulePilot&
 void CrashHarness::restore_from(platform::TestPlatform& tp, const SchedulePilot& pilot,
                                 const HarnessSnapshot& snap) {
   tp_ = &tp;
-  base_ = snap.base;
-  submitted_ = snap.submitted;
-  next_key_ = snap.next_key;
+  cursor_ = snap.cursor;
   halted_ = false;
   outstanding_.clear();
   recorded_.assign(pilot.recording.begin(),
-                   pilot.recording.begin() + static_cast<std::ptrdiff_t>(snap.submitted));
-  pace_rng_.set_state(snap.pace_rng);
+                   pilot.recording.begin() + static_cast<std::ptrdiff_t>(snap.cursor.submitted));
   // The generator's config is fixed per harness; only its position restores.
   if (!gen_) gen_.emplace(cfg_.workload, sim::Rng{});
   gen_->restore(snap.gen);
@@ -202,40 +196,35 @@ void CrashHarness::restore_from(platform::TestPlatform& tp, const SchedulePilot&
   rearm_.execute();
 }
 
-CrashOutcome CrashHarness::run_crash_point(platform::TestPlatform& tp, std::uint64_t boundary) {
-  begin_run(tp);
-  return finish_crash_point(boundary);
-}
-
 CrashOutcome CrashHarness::run_crash_point_from(platform::TestPlatform& tp,
                                                 const SchedulePilot& pilot,
                                                 const HarnessSnapshot& snap,
                                                 std::uint64_t boundary) {
   restore_from(tp, pilot, snap);
-  return finish_crash_point(boundary);
+  return run_crash_point(tp, boundary);
 }
 
-CrashOutcome CrashHarness::finish_crash_point(std::uint64_t boundary) {
-  platform::TestPlatform& tp = *tp_;
+CrashOutcome CrashHarness::run_crash_point(platform::TestPlatform& tp, std::uint64_t boundary) {
   sim::Simulator& sim = tp.simulator();
 
-  CountdownProbe probe(base_ + boundary);
+  CountdownProbe probe(cursor_.base + boundary);
   sim.set_boundary_probe(&probe);
   // The probe stops run_all at the exact boundary; a schedule that quiesces
   // or wedges before reaching it is caught by the guards. drained() is
-  // evaluated only at 4096-event boundaries measured from base_ — a restored
-  // run starts mid-chunk, and checking early would stop where a full replay
-  // (whose chunks all start at base_) blows straight past to the probe.
+  // evaluated only at 4096-event boundaries measured from the baseline, the
+  // same chunk grid the pilot measured B on — a restored run starts
+  // mid-chunk, and checking early would stop short of points in the pilot's
+  // chunk overshoot that the pilot counted as boundaries.
   try {
     while (true) {
-      const std::uint64_t fired = sim.events_fired() - base_;
+      const std::uint64_t fired = sim.events_fired() - cursor_.base;
       if (probe.tripped() || (fired % 4096 == 0 && drained())) break;
       if (sim.idle()) {
         throw std::runtime_error(
             "torture harness: simulator idle while approaching the boundary");
       }
       sim.run_all(4096 - fired % 4096);
-      if (sim.events_fired() > base_ + kRunEventBudget) {
+      if (sim.events_fired() > cursor_.base + kRunEventBudget) {
         throw std::runtime_error(
             "torture harness: event budget exhausted while approaching the boundary");
       }

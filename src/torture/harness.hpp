@@ -2,14 +2,17 @@
 //
 // The harness replaces the platform's own campaign loop with a schedule whose
 // injection point is an exact *event-queue boundary* rather than a sampled
-// time offset. Each run replays the identical prefix — power-up, mount, a
-// fixed open-loop stream of `requests` workload requests, all RNG streams
-// forked under fixed labels from the platform seed — so the k-th event
-// boundary after the mount baseline names the same machine state in every
-// run, at any thread count. A CountdownProbe stops the simulator exactly
-// there; the harness then injects the configured power fault, rides the rail
-// down, dwells, remounts through the normal POR path and hands the recovered
-// device to the InvariantAuditor.
+// time offset. One golden pilot run executes the schedule — power-up, mount,
+// a fixed open-loop stream of `requests` workload requests, all RNG streams
+// forked under fixed labels from the platform seed — and checkpoints the
+// whole machine at quiescent boundaries, starting with the post-mount
+// baseline. Every crash point then restores the nearest checkpoint and
+// replays only the residual window, so the k-th event boundary after the
+// baseline names the same machine state in every run, at any thread count.
+// A CountdownProbe stops the simulator exactly there; the harness then
+// injects the configured power fault, rides the rail down, dwells, remounts
+// through the normal POR path and hands the recovered device to the
+// InvariantAuditor.
 //
 // The harness owns the host's side channels during the run: it allocates
 // shadow-store tags per write, commits them on ACK, and marks anything still
@@ -18,7 +21,10 @@
 // lost-ACKed-write check needs.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <deque>
+#include <iterator>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -60,15 +66,21 @@ struct CrashOutcome {
   AuditReport report;
 };
 
+/// The harness's own position in the schedule: everything a checkpoint
+/// carries besides the device stack, the generator and the pump timer.
+struct HarnessCursor {
+  std::uint64_t base = 0;  ///< absolute events_fired at the post-mount baseline
+  std::uint64_t submitted = 0;
+  std::uint64_t next_key = 1;
+  sim::Rng pace_rng;
+};
+
 /// One quiescent-boundary checkpoint of the pilot run: the harness's own
 /// cursor plus the whole device-stack image. Sized to be pooled — restoring
 /// into warm containers copies without allocating.
 struct HarnessSnapshot {
   std::uint64_t boundary = 0;  ///< events past the baseline at capture
-  std::uint64_t base = 0;      ///< absolute events_fired at the baseline
-  std::uint64_t submitted = 0;
-  std::uint64_t next_key = 1;
-  std::array<std::uint64_t, 4> pace_rng{};
+  HarnessCursor cursor;
   workload::WorkloadGenerator::StateImage gen;
   sim::TimerImage pump;
   platform::TestPlatform::StateImage platform;
@@ -76,23 +88,23 @@ struct HarnessSnapshot {
 
 /// Pilot artifacts shared by every crash point of a sweep: the schedule
 /// length B, the full golden request stream (prefix source for restored
-/// runs), and checkpoints every ~snapshot_interval events. The pilot fires
-/// exactly the events measure_schedule() would — captures are pure reads —
-/// so B and the recording are byte-identical to the full-replay path.
+/// runs), and checkpoints every ~snapshot_interval events. The first
+/// checkpoint is always the post-mount baseline (boundary 0), so every
+/// boundary has one at or before it.
 struct SchedulePilot {
   std::uint64_t schedule_events = 0;
   std::vector<workload::RequestSpec> recording;
-  std::vector<HarnessSnapshot> snapshots;  ///< ascending by boundary
+  /// Ascending by boundary, front() at 0. A deque, so growth never copies
+  /// the images already captured (their move is not noexcept).
+  std::deque<HarnessSnapshot> snapshots;
 
-  /// Latest checkpoint at or before `boundary`; nullptr when none exists
-  /// (caller falls back to a full replay).
-  [[nodiscard]] const HarnessSnapshot* nearest_at_or_before(std::uint64_t boundary) const {
-    const HarnessSnapshot* best = nullptr;
-    for (const HarnessSnapshot& s : snapshots) {
-      if (s.boundary > boundary) break;
-      best = &s;
-    }
-    return best;
+  /// Latest checkpoint at or before `boundary`. Precondition: filled by
+  /// CrashHarness::run_pilot (which guarantees the baseline checkpoint).
+  [[nodiscard]] const HarnessSnapshot& nearest_at_or_before(std::uint64_t boundary) const {
+    const auto after = std::upper_bound(
+        snapshots.begin(), snapshots.end(), boundary,
+        [](std::uint64_t b, const HarnessSnapshot& s) { return b < s.boundary; });
+    return *std::prev(after);
   }
 };
 
@@ -106,28 +118,18 @@ class CrashHarness {
 
   /// Golden run, no injection: execute the full schedule to quiescence
   /// (all requests submitted and completed, cache drained) plus a journal
-  /// margin, and return the boundary count B. Every k in [0, B) is a
-  /// meaningful injection point. `tp` must be freshly acquired/reset for
-  /// this config and seed.
-  std::uint64_t measure_schedule(platform::TestPlatform& tp);
-
-  /// Crash run: replay the schedule, stop at boundary `k`, inject the fault,
-  /// remount, audit. Same platform precondition as measure_schedule; the
-  /// platform must be reset before it is stepped again (self-perpetuating
-  /// harness events may still be queued).
-  CrashOutcome run_crash_point(platform::TestPlatform& tp, std::uint64_t boundary);
-
-  /// Golden run that additionally records a device-state checkpoint at every
-  /// quiescent boundary at least `snapshot_interval` events past the previous
-  /// one (plus one at the drained tail). Returns the schedule length B —
-  /// identical to measure_schedule(), as captures never perturb the run.
+  /// margin, and return the boundary count B — every k in [0, B) is a
+  /// meaningful injection point. Along the way, record a device-state
+  /// checkpoint at the post-mount baseline, at every quiescent boundary at
+  /// least `snapshot_interval` events past the previous one, and at the
+  /// drained tail. `tp` must be freshly acquired/reset for this config and
+  /// seed. Throws std::runtime_error if the baseline is not quiescent.
   std::uint64_t run_pilot(platform::TestPlatform& tp, SchedulePilot& out,
                           std::uint64_t snapshot_interval);
 
-  /// Crash run seeded from a pilot checkpoint: restore `snap` onto `tp`
-  /// (which may be dirty from a previous crash run — no reset needed),
-  /// replay only the residual window up to `boundary`, then inject, remount
-  /// and audit exactly like run_crash_point. Precondition:
+  /// Crash run: restore `snap` onto `tp` (which may be dirty from a previous
+  /// crash run — no reset needed), replay only the residual window up to
+  /// `boundary`, inject the fault, remount and audit. Precondition:
   /// snap.boundary <= boundary and `tp` compatible with this config.
   CrashOutcome run_crash_point_from(platform::TestPlatform& tp, const SchedulePilot& pilot,
                                     const HarnessSnapshot& snap, std::uint64_t boundary);
@@ -158,9 +160,9 @@ class CrashHarness {
   void capture(HarnessSnapshot& snap) const;
   void restore_from(platform::TestPlatform& tp, const SchedulePilot& pilot,
                     const HarnessSnapshot& snap);
-  /// Shared tail of both crash paths: probe to `boundary`, inject, ride the
-  /// rail down, dwell, remount, mark unsettled writes indeterminate, audit.
-  CrashOutcome finish_crash_point(std::uint64_t boundary);
+  /// From the restored `tp`: probe to `boundary`, inject, ride the rail
+  /// down, dwell, remount, mark unsettled writes indeterminate, audit.
+  CrashOutcome run_crash_point(platform::TestPlatform& tp, std::uint64_t boundary);
   /// Step until `stop` holds; throws if the sim goes idle or the event
   /// budget blows first (a wedged schedule, not a finding).
   template <class Pred>
@@ -168,13 +170,10 @@ class CrashHarness {
 
   const TortureConfig& cfg_;
 
-  // Per-run state (reset by begin_run).
+  // Per-run state (set by begin_run or restore_from).
   platform::TestPlatform* tp_ = nullptr;
   std::optional<workload::WorkloadGenerator> gen_;
-  sim::Rng pace_rng_;
-  std::uint64_t base_ = 0;       ///< events_fired at the post-mount baseline
-  std::uint64_t submitted_ = 0;
-  std::uint64_t next_key_ = 1;
+  HarnessCursor cursor_;
   bool halted_ = false;          ///< crash reached: no further submissions
   sim::EventId pump_event_{};    ///< armed inter-arrival timer (census/capture)
   sim::TimerRearmer rearm_;      ///< pooled across restores

@@ -59,9 +59,10 @@ struct TortureConfig {
   /// then re-locate the earliest failing boundary) and emit a repro spec.
   bool shrink = true;
   /// Pilot checkpoint cadence: capture a device-state snapshot at the first
-  /// quiescent boundary at least this many events past the previous capture.
+  /// quiescent boundary at least this many events past the previous capture
+  /// (the post-mount baseline and the drained tail are always captured).
   /// Pure wall-clock knob — excluded from torture_hash, verdicts identical
-  /// at any value (and with snapshots disabled via pofi_run --no-snapshot).
+  /// at any value; a huge one (1e9) restores every point from the baseline.
   std::uint64_t snapshot_interval = 256;
 
   runner::RunnerConfig runner;

@@ -9,10 +9,13 @@
 #include <sstream>
 #include <string>
 
+#include "platform/test_platform.hpp"
 #include "runner/progress.hpp"
 #include "spec/checkpoint.hpp"
 #include "torture/explorer.hpp"
+#include "torture/harness.hpp"
 #include "torture/torture_spec.hpp"
+#include "workload/checksum.hpp"
 
 namespace pofi::torture {
 namespace {
@@ -199,44 +202,92 @@ TEST(TortureExplorer, AuditFailedFlowsThroughJsonlProgress) {
   return s.str();
 }
 
-// Tentpole acceptance: restored-snapshot sweeps and full-replay sweeps are
-// indistinguishable — same verdicts, same violation set, same shrunk repro
-// spec — at 1, 2 and 8 runner threads, with recovery intact and broken.
+/// FNV-1a of a fingerprint, for pinning.
+[[nodiscard]] std::uint64_t fingerprint_hash(const ExploreReport& r) {
+  const std::string s = fingerprint(r);
+  return workload::fnv1a64({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
+}
+
+// Frozen full-replay oracle: fingerprint hashes of small_config() explored
+// by the former full-replay crash path (a fresh mount and a replay of the
+// whole prefix per crash point) at one runner thread, captured before that
+// path was deleted. Every crash point now restores a pilot checkpoint; these
+// pin it to the verdicts, violations and shrunk repro the full replay gave.
+constexpr std::uint64_t kFullReplayIntact = 0xbe5e3d2abd9099f7ULL;
+constexpr std::uint64_t kFullReplayBrokenShrunk = 0x19e4410e39b85e86ULL;
+
+// Tentpole acceptance: restored-snapshot sweeps reproduce the frozen
+// full-replay fingerprints — same verdicts, same violation set, same shrunk
+// repro spec — at 1, 2 and 8 runner threads, with recovery intact and broken.
 TEST(TortureExplorer, SnapshotSweepMatchesFullReplayByteForByte) {
   for (const bool broken : {false, true}) {
     TortureConfig cfg = small_config();
     cfg.break_recovery = broken;
     cfg.shrink = broken;
-    ExploreOptions full;
-    full.use_snapshots = false;
-    cfg.runner.threads = 1;
-    const std::string reference = fingerprint(explore(cfg, full));
+    const std::uint64_t reference = broken ? kFullReplayBrokenShrunk : kFullReplayIntact;
     for (const std::uint32_t threads : {1u, 2u, 8u}) {
       cfg.runner.threads = threads;
-      EXPECT_EQ(fingerprint(explore(cfg)), reference)
-          << "snapshots, broken=" << broken << " threads=" << threads;
-      EXPECT_EQ(fingerprint(explore(cfg, full)), reference)
-          << "full replay, broken=" << broken << " threads=" << threads;
+      EXPECT_EQ(fingerprint_hash(explore(cfg)), reference)
+          << "broken=" << broken << " threads=" << threads;
     }
   }
 }
 
 // Snapshot cadence is wall-clock shape, not content: any interval (including
-// one sparse enough that only the baseline checkpoint exists) produces the
-// reference verdicts, and the knob stays out of the content hash.
+// one sparse enough that only the baseline and tail checkpoints exist)
+// produces the frozen full-replay verdicts, and the knob stays out of the
+// content hash.
 TEST(TortureExplorer, SnapshotIntervalNeverChangesVerdicts) {
   TortureConfig cfg = small_config();
   cfg.break_recovery = true;
   cfg.shrink = true;
   cfg.runner.threads = 1;
-  ExploreOptions full;
-  full.use_snapshots = false;
-  const std::string reference = fingerprint(explore(cfg, full));
   const std::uint64_t base_hash = torture_hash(cfg);
   for (const std::uint64_t interval : {1ULL, 64ULL, 1'000'000'000ULL}) {
     cfg.snapshot_interval = interval;
     EXPECT_EQ(torture_hash(cfg), base_hash) << "interval=" << interval;
-    EXPECT_EQ(fingerprint(explore(cfg)), reference) << "interval=" << interval;
+    EXPECT_EQ(fingerprint_hash(explore(cfg)), kFullReplayBrokenShrunk)
+        << "interval=" << interval;
+  }
+}
+
+// The baseline checkpoint is an invariant: on every preset, with the POR
+// scan off and on, the pilot's first checkpoint sits at boundary 0, so every
+// crash point has one to restore. Each such sweep (broken recovery, so the
+// fingerprint carries violations) matches across cadences and the frozen
+// full-replay hash captured alongside kFullReplay*.
+TEST(TortureExplorer, BaselineCheckpointOnEveryPreset) {
+  struct Case {
+    ssd::VendorModel model;
+    std::uint64_t full_replay;
+  };
+  for (const Case c : {Case{ssd::VendorModel::kA, 0x8941e9a6966fd4ddULL},
+                       Case{ssd::VendorModel::kB, 0x8941e9a6966fd4ddULL},
+                       Case{ssd::VendorModel::kC, 0x1c69e8def047519cULL}}) {
+    for (const bool por_scan : {false, true}) {
+      TortureConfig cfg = small_config();
+      ssd::PresetOptions opts;
+      opts.capacity_override_gb = 1;
+      opts.por_scan = por_scan;
+      cfg.drive = ssd::make_preset(c.model, opts);
+      cfg.drive.mount_delay = sim::Duration::ms(50);
+      cfg.break_recovery = true;
+      cfg.runner.threads = 1;
+
+      CrashHarness harness(cfg);
+      SchedulePilot pilot;
+      platform::TestPlatform tp(cfg.drive, cfg.platform, cfg.seed);
+      (void)harness.run_pilot(tp, pilot, cfg.snapshot_interval);
+      ASSERT_FALSE(pilot.snapshots.empty());
+      EXPECT_EQ(pilot.snapshots.front().boundary, 0u)
+          << ssd::to_string(c.model) << " por_scan=" << por_scan;
+
+      for (const std::uint64_t interval : {64ULL, 256ULL, 1'000'000'000ULL}) {
+        cfg.snapshot_interval = interval;
+        EXPECT_EQ(fingerprint_hash(explore(cfg)), c.full_replay)
+            << ssd::to_string(c.model) << " por_scan=" << por_scan << " interval=" << interval;
+      }
+    }
   }
 }
 
