@@ -1,4 +1,4 @@
-// Grow-on-demand dense arrays indexed by physical address.
+// Grow-on-demand dense arrays indexed by physical or logical address.
 //
 // The FTL's per-page reverse map and per-block valid counters are lookup/
 // update structures that are never iterated, so they flatten from hash maps
@@ -7,10 +7,16 @@
 // amortised allocation cost vanishes after warm-up) and clamps to the
 // device's addressable range, which bounds worst-case footprint by geometry
 // instead of by access pattern.
+//
+// Host-side LPN state (the shadow store, the write cache's slot index) is
+// touched in clusters spread over a range too large for one flat array — a
+// fig6 working set spans 23.6M LPNs but a campaign writes a few percent of
+// them — so it uses PagedDense: a chunk directory over one contiguous pool.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace pofi::ftl {
@@ -22,5 +28,69 @@ void grow_dense(std::vector<T>& v, std::uint64_t index, std::uint64_t capacity_h
   grown = std::min(std::max(grown, index + 1), std::max(capacity_hint, index + 1));
   v.resize(grown, fill);
 }
+
+/// Two-level dense array over a sparsely touched index space. A directory
+/// maps index >> kChunkBits to a chunk in one contiguous pool; a chunk is
+/// allocated on first touch as a default-constructed `Chunk`, which must
+/// hold the "never touched" value of each of its kChunkSize cells. Chunks
+/// are small because host writes land at random offsets: a 1-256 page
+/// request fills few cells of a large chunk, and the rest is wasted. Lookups
+/// are two indexed loads with no hashing. Chunks are never freed one by one:
+/// clear() drops them all and keeps every capacity, so a warmed array
+/// allocates nothing, and copy assignment (snapshot/restore) is two vector
+/// assignments. The directory grows to the largest index touched, so the
+/// index space must be bounded (a device's LPN range).
+template <typename Chunk>
+class PagedDense {
+ public:
+  static constexpr unsigned kChunkBits = 6;
+  static constexpr std::uint64_t kChunkSize = std::uint64_t{1} << kChunkBits;
+
+  /// Cell of `index` inside its chunk.
+  [[nodiscard]] static constexpr std::uint64_t offset(std::uint64_t index) {
+    return index & (kChunkSize - 1);
+  }
+
+  /// Chunk holding `index`, or nullptr while none of its cells was touched.
+  [[nodiscard]] const Chunk* find(std::uint64_t index) const {
+    const std::uint64_t d = index >> kChunkBits;
+    if (d >= dir_.size() || dir_[d] == kNoChunk) return nullptr;
+    return &pool_[dir_[d]];
+  }
+  [[nodiscard]] Chunk* find(std::uint64_t index) {
+    return const_cast<Chunk*>(std::as_const(*this).find(index));
+  }
+
+  /// Chunk holding `index`, allocated on first touch.
+  Chunk& touch(std::uint64_t index) {
+    const std::uint64_t d = index >> kChunkBits;
+    grow_dense(dir_, d, ~std::uint64_t{0}, kNoChunk);
+    if (dir_[d] == kNoChunk) {
+      dir_[d] = static_cast<std::uint32_t>(pool_.size());
+      pool_.emplace_back();
+    }
+    return pool_[dir_[d]];
+  }
+
+  /// Visit each touched chunk as fn(first_index, chunk), ascending.
+  template <class Fn>
+  void for_each_chunk(Fn&& fn) const {
+    for (std::uint64_t d = 0; d < dir_.size(); ++d) {
+      if (dir_[d] != kNoChunk) fn(d << kChunkBits, pool_[dir_[d]]);
+    }
+  }
+
+  /// Forget every chunk, keeping the directory's and the pool's capacity.
+  void clear() {
+    std::fill(dir_.begin(), dir_.end(), kNoChunk);
+    pool_.clear();
+  }
+
+ private:
+  static constexpr std::uint32_t kNoChunk = ~std::uint32_t{0};
+
+  std::vector<std::uint32_t> dir_;  ///< index >> kChunkBits -> pool_ slot
+  std::vector<Chunk> pool_;
+};
 
 }  // namespace pofi::ftl

@@ -9,13 +9,22 @@
 // Pages touched by a write whose ACK never arrived are *indeterminate*: the
 // device legitimately may hold either the old or the new data. Verification
 // accepts both and collapses the state to whatever was observed.
+//
+// Layout: expected tags live in a paged dense array (ftl::PagedDense, 64
+// LPNs per chunk) with two bitmap words per chunk — pages ever touched,
+// pages indeterminate. Only indeterminate pages have an alternate tag, and
+// those few go in a side table, consulted only when the page's bit is set.
+// Every verified page costs two indexed loads and no hashing.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
+#include "ftl/dense.hpp"
 #include "ftl/types.hpp"
 #include "nand/page.hpp"
 
@@ -42,53 +51,61 @@ class ShadowStore {
   /// Verification read observed `tag` on disk: collapse to that reality.
   void observe(ftl::Lpn lpn, std::uint64_t tag);
 
-  [[nodiscard]] std::size_t tracked_pages() const { return truth_.size(); }
-  [[nodiscard]] std::uint64_t tags_allocated() const { return next_tag_ - 1; }
+  /// Pages ever committed, marked indeterminate or observed.
+  [[nodiscard]] std::size_t tracked_pages() const { return state_.tracked; }
+  [[nodiscard]] std::uint64_t tags_allocated() const { return state_.next_tag - 1; }
 
-  /// Visit every tracked page as fn(lpn, expected_tag, indeterminate).
-  /// Iteration order is unspecified (hash map) — callers needing determinism
-  /// must sort what they collect.
+  /// Visit every tracked page as fn(lpn, expected_tag, indeterminate), in
+  /// ascending LPN order.
   template <class Fn>
   void for_each(Fn&& fn) const {
-    for (const auto& [lpn, truth] : truth_) fn(lpn, truth.expected, truth.indeterminate);
+    state_.pages.for_each_chunk([&fn](ftl::Lpn base, const Chunk& c) {
+      for (std::uint64_t bits = c.tracked; bits != 0; bits &= bits - 1) {
+        const auto off = static_cast<unsigned>(std::countr_zero(bits));
+        fn(base + off, c.expected[off], ((c.indeterminate >> off) & 1) != 0);
+      }
+    });
   }
 
   /// Session reset: forget all truth and restart tag allocation from 1,
-  /// keeping the map's buckets.
+  /// keeping every capacity.
   void reset() {
-    truth_.clear();
-    next_tag_ = 1;
+    state_.pages.clear();
+    state_.alternates.clear();
+    state_.tracked = 0;
+    state_.next_tag = 1;
   }
 
-  struct StateImage;
-  void snapshot(StateImage& out) const;
-  void restore(const StateImage& image);
+ private:
+  /// One directory chunk: 64 pages' expected tags plus their flag bits.
+  struct Chunk {
+    Chunk() { expected.fill(nand::kErasedContent); }
+    std::array<std::uint64_t, 64> expected;
+    std::uint64_t tracked = 0;        ///< bit i: page i was ever touched
+    std::uint64_t indeterminate = 0;  ///< bit i: page i has an alternate tag
+  };
+  using Pages = ftl::PagedDense<Chunk>;
+  static_assert(Pages::kChunkSize == 64);
+
+ public:
+  /// The store's whole state as one copyable value: snapshot is a copy,
+  /// restore an assignment.
+  struct StateImage {
+    Pages pages;
+    std::unordered_map<ftl::Lpn, std::uint64_t> alternates;  ///< unacked writes' tags
+    std::size_t tracked = 0;
+    std::uint64_t next_tag = 1;
+  };
+  void snapshot(StateImage& out) const { out = state_; }
+  void restore(const StateImage& image) { state_ = image; }
 
  private:
-  struct PageTruth {
-    std::uint64_t expected = nand::kErasedContent;
-    std::uint64_t alternate = nand::kErasedContent;  ///< unacked write's tag
-    bool indeterminate = false;
-  };
+  /// Chunk of `lpn`, with the page marked tracked.
+  Chunk& track(ftl::Lpn lpn);
+  /// Make `lpn` determinate again, dropping its alternate.
+  void settle(Chunk& c, ftl::Lpn lpn);
 
-  std::unordered_map<ftl::Lpn, PageTruth> truth_;
-  std::uint64_t next_tag_ = 1;
+  StateImage state_;
 };
-
-/// Copyable ground-truth state at a quiescent boundary.
-struct ShadowStore::StateImage {
-  std::unordered_map<ftl::Lpn, PageTruth> truth;
-  std::uint64_t next_tag = 1;
-};
-
-inline void ShadowStore::snapshot(StateImage& out) const {
-  out.truth = truth_;
-  out.next_tag = next_tag_;
-}
-
-inline void ShadowStore::restore(const StateImage& image) {
-  truth_ = image.truth;
-  next_tag_ = image.next_tag;
-}
 
 }  // namespace pofi::platform

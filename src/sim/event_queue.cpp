@@ -35,6 +35,7 @@ bool EventQueue::cancel(EventId id) {
   s.live = false;
   s.cb.reset();  // free captured state now, not when the tombstone surfaces
   --live_;
+  if (heap_.size() > 2 * live_ + kCompactSlack) compact();
   return true;
 }
 
@@ -83,6 +84,21 @@ void EventQueue::sweep_top() {
     pop_heap_top();
     release_slot(idx);  // callback already destroyed at cancel()
   }
+}
+
+void EventQueue::compact() {
+  std::size_t kept = 0;
+  for (const HeapEntry& e : heap_) {
+    if (slots_[e.slot].live) {
+      heap_[kept++] = e;
+    } else {
+      release_slot(e.slot);  // callback already destroyed at cancel()
+    }
+  }
+  heap_.resize(kept);
+  // Floyd's bottom-up heapify. Keys are unique, so the heap's shape cannot
+  // influence which entry pops next.
+  for (std::size_t pos = kept / 2; pos-- > 0;) sift_down(pos);
 }
 
 TimePoint EventQueue::next_time() const {

@@ -10,8 +10,14 @@
 // allocates nothing, and the callback's inline storage (InplaceFunction)
 // keeps captures off the heap too. Cancellation flips the slot dead in O(1)
 // — no hash lookups anywhere on the schedule/pop/cancel path — and drops the
-// callback's captured state immediately; the heap entry becomes a tombstone
-// swept lazily when it reaches the top.
+// callback's captured state immediately. The heap entry stays behind as a
+// tombstone until it reaches the top or until tombstones outnumber live
+// entries; then one in-place pass drops them all, frees their slots and
+// re-heapifies. Workloads that re-arm far-future timers (the write cache's
+// hold-time wake, block-layer request timeouts) cancel most of what they
+// schedule, and without that pass every sift would walk a heap of dead
+// entries. Compaction costs amortised O(1) per cancel, allocates nothing and
+// cannot change pop order, which is the strict (time, seq) order.
 #pragma once
 
 #include <cassert>
@@ -90,6 +96,11 @@ class EventQueue {
   /// callback state is freed here, tombstones included.
   void clear();
 
+  /// Heap entries, tombstones included. Compaction keeps this at most
+  /// 2 * size() + kCompactSlack after every cancel.
+  [[nodiscard]] std::size_t heap_size() const { return heap_.size(); }
+  static constexpr std::size_t kCompactSlack = 64;
+
  private:
   static constexpr std::uint32_t kNil = ~0u;
 
@@ -122,6 +133,8 @@ class EventQueue {
   void release_slot(std::uint32_t idx);
   /// Drop tombstones off the heap top so heap_[0] is live (or heap empty).
   void sweep_top();
+  /// Drop every tombstone, free its slot and restore the heap property.
+  void compact();
 
   std::vector<Slot> slots_;      ///< arena; index = slot id
   std::vector<HeapEntry> heap_;  ///< binary min-heap keyed by (time, seq)

@@ -7,15 +7,21 @@
 // power fault up to ~700 ms after completion still kills the data (§IV-A),
 // and small requests that fit entirely in DRAM produce the FWA failures that
 // dominate Fig. 7.
+//
+// Layout: entries live in an arena of at most capacity_pages slots, found by
+// LPN through a paged dense index (ftl::PagedDense). FIFO tickets and flush
+// completions name arena slots, so the flusher never looks an LPN up, and a
+// power loss walks the arena once and then drops the index wholesale.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "ftl/dense.hpp"
 #include "ftl/ftl.hpp"
 #include "ftl/types.hpp"
 #include "obs/fwd.hpp"
@@ -70,7 +76,9 @@ class WriteCache {
   void invalidate(ftl::Lpn lpn);
 
   [[nodiscard]] std::size_t dirty_pages() const { return dirty_count_; }
-  [[nodiscard]] std::size_t resident_pages() const { return entries_.size(); }
+  [[nodiscard]] std::size_t resident_pages() const {
+    return arena_.size() - free_slots_.size();
+  }
   [[nodiscard]] const CacheStats& stats() const { return stats_; }
 
   /// Age of the oldest still-dirty page (vulnerability window probe).
@@ -87,8 +95,9 @@ class WriteCache {
   void on_power_good();
 
   /// LPNs whose dirty (ACKed but unflushed) data died in the most recent
-  /// power loss — the cache's declaration of knowingly lost writes. Sorted;
-  /// cleared on reset, replaced on each loss.
+  /// power loss — the cache's declaration of knowingly lost writes. In
+  /// arena order, not sorted (readers that search it sort a copy); cleared
+  /// on reset, replaced on each loss.
   [[nodiscard]] const std::vector<ftl::Lpn>& last_dropped_lpns() const {
     return last_dropped_lpns_;
   }
@@ -113,23 +122,47 @@ class WriteCache {
   void restore(const StateImage& image, sim::TimerRearmer& rearm);
 
  private:
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+  /// One arena slot. A free slot has seq 0 and is not dirty.
   struct Entry {
+    ftl::Lpn lpn = 0;
     std::uint64_t content = 0;
-    std::uint64_t seq = 0;  ///< bumped on each dirtying; stales FIFO tickets
+    std::uint64_t seq = 0;  ///< unique per dirtying (from 1); stales tickets
     sim::TimePoint dirtied_at;
     bool dirty = false;
   };
+  /// A FIFO position: the slot and the dirtying it was queued for. Slots are
+  /// reused, but seq never repeats, so a stale ticket never matches.
   struct Ticket {
-    ftl::Lpn lpn;
+    std::uint32_t slot;
     std::uint64_t seq;
   };
+  /// One index chunk: the arena slots of 64 consecutive LPNs.
+  struct IndexChunk {
+    IndexChunk() { slot.fill(kNoSlot); }
+    std::array<std::uint32_t, 64> slot;
+  };
+  using Index = ftl::PagedDense<IndexChunk>;
+  static_assert(Index::kChunkSize == 64);
+
+  [[nodiscard]] std::uint32_t slot_of(ftl::Lpn lpn) const;
+  /// Take a free slot for `lpn` and index it.
+  std::uint32_t claim_slot(ftl::Lpn lpn);
+  /// Unindex a resident slot and put it on the free list.
+  void release_slot(std::uint32_t slot);
+  /// True while `t` names the slot's current dirtying.
+  [[nodiscard]] bool dirty_ticket(const Ticket& t) const {
+    const Entry& e = arena_[t.slot];
+    return e.dirty && e.seq == t.seq;
+  }
 
   void pump();
   /// Index into dirty_fifo_ of the ticket to flush next, or npos when the
   /// ripe window is empty.
   [[nodiscard]] std::size_t pick_flush_candidate(bool pressured);
-  void issue_flush(ftl::Lpn lpn, std::uint64_t seq, std::uint64_t content);
-  void became_clean(ftl::Lpn lpn);
+  void issue_flush(std::uint32_t slot);
+  void flush_done(std::uint32_t slot, std::uint32_t seq_low, bool ok);
   void evict_clean_if_needed();
   void notify_space();
   void check_emergency_done();
@@ -142,7 +175,9 @@ class WriteCache {
   bool emergency_ = false;
   std::function<void()> emergency_done_;
 
-  std::unordered_map<ftl::Lpn, Entry> entries_;
+  std::vector<Entry> arena_;  ///< grows to at most capacity_pages slots
+  std::vector<std::uint32_t> free_slots_;
+  Index index_;  ///< LPN -> arena slot
   std::deque<Ticket> dirty_fifo_;
   std::deque<Ticket> clean_fifo_;
   std::size_t dirty_count_ = 0;
@@ -164,7 +199,9 @@ class WriteCache {
 struct WriteCache::StateImage {
   std::array<std::uint64_t, 4> rng_state{};
   bool powered = false;
-  std::unordered_map<ftl::Lpn, Entry> entries;
+  std::vector<Entry> arena;
+  std::vector<std::uint32_t> free_slots;
+  Index index;
   std::deque<Ticket> dirty_fifo;
   std::deque<Ticket> clean_fifo;
   std::size_t dirty_count = 0;
@@ -177,7 +214,9 @@ struct WriteCache::StateImage {
 inline void WriteCache::snapshot(StateImage& out) const {
   out.rng_state = rng_.state();
   out.powered = powered_;
-  out.entries = entries_;
+  out.arena = arena_;
+  out.free_slots = free_slots_;
+  out.index = index_;
   out.dirty_fifo = dirty_fifo_;
   out.clean_fifo = clean_fifo_;
   out.dirty_count = dirty_count_;
@@ -194,7 +233,9 @@ inline void WriteCache::restore(const StateImage& image, sim::TimerRearmer& rear
   powered_ = image.powered;
   emergency_ = false;
   emergency_done_ = nullptr;
-  entries_ = image.entries;
+  arena_ = image.arena;
+  free_slots_ = image.free_slots;
+  index_ = image.index;
   dirty_fifo_ = image.dirty_fifo;
   clean_fifo_ = image.clean_fifo;
   dirty_count_ = image.dirty_count;

@@ -142,16 +142,12 @@ AuditReport InvariantAuditor::audit(const ssd::Ssd& ssd,
   // --- I5: every ACKed write is durable or declared lost --------------------
   if (shadow != nullptr) {
     const std::vector<ftl::Lpn>& reverted = ftl.last_reverted_lpns();
-    const std::vector<ftl::Lpn>& dropped = ssd.cache().last_dropped_lpns();
-    // Deterministic visit order: collect and sort (the shadow map is hashed).
-    std::vector<std::pair<ftl::Lpn, std::uint64_t>> acked;
+    // The cache records its losses in arena order; sort a copy for lookups.
+    std::vector<ftl::Lpn> dropped = ssd.cache().last_dropped_lpns();
+    std::sort(dropped.begin(), dropped.end());
     shadow->for_each([&](ftl::Lpn lpn, std::uint64_t expected, bool indeterminate) {
       if (indeterminate) return;  // device may hold either version: no claim
       if (expected == nand::kErasedContent) return;
-      acked.emplace_back(lpn, expected);
-    });
-    std::sort(acked.begin(), acked.end());
-    for (const auto& [lpn, expected] : acked) {
       ++report.acked_pages_checked;
       const auto ppn = map.lookup(lpn);
       const nand::Page* page = ppn.has_value() ? chip.peek(*ppn) : nullptr;
@@ -159,7 +155,7 @@ AuditReport InvariantAuditor::audit(const ssd::Ssd& ssd,
           page == nullptr ? nand::kErasedContent : page->content;
       if (ppn.has_value() && page != nullptr && on_media == expected &&
           page->status == nand::PageStatus::kValid) {
-        continue;  // durable
+        return;  // durable
       }
       // Not durable: acceptable only when classified into the paper's
       // taxonomy — FWA (map revert), declared cache loss, or media damage
@@ -170,13 +166,13 @@ AuditReport InvariantAuditor::audit(const ssd::Ssd& ssd,
           page != nullptr && (page->status == nand::PageStatus::kPartial ||
                               page->status == nand::PageStatus::kCorrupt ||
                               page->upset_errors > 0);
-      if (declared_fwa || declared_cache_loss || damaged) continue;
+      if (declared_fwa || declared_cache_loss || damaged) return;
       add(report, InvariantKind::kLostAckedWrite, lpn,
           ppn.value_or(~ftl::Ppn{0}),
           ppn.has_value() ? geom.block_of(*ppn) : ~ftl::BlockId{0},
           "ACKed write to lpn " + std::to_string(lpn) +
               " is gone: not reverted, not declared cache loss, media intact");
-    }
+    });
   }
 
   std::sort(report.violations.begin(), report.violations.end(),

@@ -11,9 +11,12 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <type_traits>
 
 #include "blk/queue.hpp"
+#include "ftl/ftl.hpp"
 #include "ftl/mapping.hpp"
+#include "nand/chip_array.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/inplace_function.hpp"
 #include "ssd/ssd.hpp"
@@ -206,6 +209,73 @@ TEST(AllocFree, ReadyWaiterCallbacksAllocateNothing) {
   EXPECT_EQ(after - before, 0u)
       << "ready-waiter registration and wake must not touch the heap";
   EXPECT_EQ(woken, 256u * 64u);
+}
+
+TEST(AllocFree, CacheFlushCompletionAllocatesNothing) {
+  // Every write-cache flush hands Ftl::write a completion of type
+  // ftl::Ftl::WriteCallback (a std::function). The cache's closure is a
+  // pointer plus the slot and the low half of the dirtying's seq: 16
+  // trivially copyable bytes, which std::function stores inline. The FTL's
+  // own bookkeeping allocates on some writes, so the proof is differential:
+  // a round of flush-shaped writes through a powered FTL, into the NAND
+  // program completion and back, allocates exactly as much as a round with a
+  // capture-less completion. A control closure wider than any
+  // std::function buffer shows the counter sees one allocation per write.
+  struct FlushCapture {
+    std::uint64_t* done;
+    std::uint32_t slot, seq_low;
+  };
+  static_assert(sizeof(FlushCapture) == 16 && std::is_trivially_copyable_v<FlushCapture>,
+                "the cache's flush closure must stay inside std::function's "
+                "inline buffer");
+  struct WideCapture {
+    std::uint64_t* done;
+    std::uint64_t words[7];
+  };
+
+  nand::NandChip::Config chip_cfg;
+  chip_cfg.geometry.page_size_bytes = 4096;
+  chip_cfg.geometry.pages_per_block = 32;
+  chip_cfg.geometry.blocks_per_plane = 32;
+  chip_cfg.geometry.planes = 4;
+  sim::Simulator sim(11);
+  nand::ChipArray chip(sim, nand::ChipArray::Config{1, chip_cfg});
+  ftl::Ftl ftl(sim, chip, ftl::Ftl::Config{});
+  chip.on_power_good();
+  ftl.on_power_good();
+
+  constexpr std::uint32_t kWrites = 64;
+  std::uint64_t done = 0;
+  std::uint32_t seq = 0;
+  const auto round = [&](auto make_callback) {
+    const std::uint64_t before = allocs_now();
+    for (std::uint32_t slot = 0; slot < kWrites; ++slot) {
+      ++seq;
+      ftl.write(slot, seq, make_callback(slot, seq));
+    }
+    sim.run_for(sim::Duration::ms(100));  // programs and a journal tick complete
+    return allocs_now() - before;
+  };
+  const auto flush_shaped = [&done](std::uint32_t slot, std::uint32_t seq_low) {
+    const FlushCapture cap{&done, slot, seq_low};
+    return [cap](bool ok) { *cap.done += ok ? 1 : 0; };
+  };
+  const auto bare = [&done](std::uint32_t, std::uint32_t) {
+    return [&done](bool ok) { done += ok ? 1 : 0; };
+  };
+  const auto wide = [&done](std::uint32_t slot, std::uint32_t seq_low) {
+    const WideCapture cap{&done, {slot, seq_low}};
+    return [cap](bool ok) { *cap.done += ok ? 1 : 0; };
+  };
+  for (int i = 0; i < 64; ++i) round(flush_shaped);  // warm-up
+
+  const std::uint64_t done_before = done;
+  const std::uint64_t bare_allocs = round(bare);
+  EXPECT_EQ(round(flush_shaped), bare_allocs)
+      << "a cache flush's completion must not touch the heap";
+  EXPECT_EQ(round(wide), bare_allocs + kWrites)
+      << "control: a completion wider than std::function's buffer allocates";
+  EXPECT_EQ(done - done_before, 3u * kWrites) << "every flush must complete ok";
 }
 
 TEST(AllocFree, CountersActuallyCount) {

@@ -150,6 +150,105 @@ TEST_P(EventQueueFuzz, TenThousandOpsMatchNaiveReference) {
   ASSERT_EQ(ref_min(), reference.size()) << "reference retained events the queue lost";
 }
 
+// Cancel-heavy variant: the write cache re-arms its hold-time wake on every
+// insert and the block layer cancels a request timeout on every completion,
+// so most scheduled events are far-future timers that die unfired. Here 91%
+// of operations re-arm such a timer (cancel a random far-future event, then
+// schedule a new one), 1% add a far timer, and the rest schedule near events
+// or pop; every cancel hits a far-future event. Tombstones pile up far from
+// the heap top, so the queue compacts over and over; pops must still match
+// the naive reference exactly, and the heap must stay within its bound
+// after each cancel.
+TEST_P(EventQueueFuzz, CancelHeavyCompactionMatchesNaiveReference) {
+  struct RefEvent {
+    std::int64_t t = 0;
+    std::uint64_t order = 0;
+    bool alive = false;
+  };
+
+  Rng rng(GetParam());
+  EventQueue queue;
+  std::vector<RefEvent> reference;  // index == payload value
+  std::vector<EventId> ids;
+  std::vector<std::size_t> far;  // payloads of far-future timers
+  std::uint64_t order = 0;
+  std::int64_t clock_ns = 0;
+  std::size_t live = 0;
+  std::size_t compactions = 0;
+  std::vector<int> fired;
+
+  const auto ref_min = [&reference]() {
+    std::size_t best = reference.size();
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      if (!reference[i].alive) continue;
+      if (best == reference.size() || reference[i].t < reference[best].t ||
+          (reference[i].t == reference[best].t &&
+           reference[i].order < reference[best].order)) {
+        best = i;
+      }
+    }
+    return best;
+  };
+  const auto schedule = [&](std::int64_t t) {
+    const int value = static_cast<int>(reference.size());
+    ids.push_back(queue.schedule_at(TimePoint::from_ns(t),
+                                    [&fired, value] { fired.push_back(value); }));
+    reference.push_back(RefEvent{t, order++, true});
+    ++live;
+    return static_cast<std::size_t>(value);
+  };
+
+  const int kOps = 20000;
+  for (int op = 0; op < kOps; ++op) {
+    const std::uint64_t dice = rng.below(100);
+    const auto arm_far = [&] {
+      far.push_back(schedule(clock_ns + 1'000'000'000 + rng.range(0, 1'000'000)));
+    };
+    if (dice < 1 || far.empty()) {
+      arm_far();
+    } else if (dice < 92) {
+      const std::size_t pick = static_cast<std::size_t>(rng.below(far.size()));
+      const std::size_t idx = far[pick];
+      far[pick] = far.back();
+      far.pop_back();
+      const std::size_t heap_before = queue.heap_size();
+      ASSERT_EQ(queue.cancel(ids[idx]), reference[idx].alive) << "op " << op;
+      if (reference[idx].alive) {
+        reference[idx].alive = false;
+        --live;
+      }
+      if (queue.heap_size() < heap_before) ++compactions;
+      ASSERT_LE(queue.heap_size(), 2 * live + EventQueue::kCompactSlack) << "op " << op;
+      arm_far();
+    } else if (dice < 96 || live == 0) {
+      schedule(clock_ns + rng.range(0, 10'000));
+    } else {
+      const std::size_t expect = ref_min();
+      ASSERT_LT(expect, reference.size()) << "op " << op;
+      fired.clear();
+      auto ev = queue.pop();
+      ev.cb();
+      ASSERT_EQ(fired, std::vector<int>{static_cast<int>(expect)}) << "op " << op;
+      ASSERT_EQ(ev.time.count_ns(), reference[expect].t) << "op " << op;
+      clock_ns = reference[expect].t;
+      reference[expect].alive = false;
+      --live;
+    }
+    ASSERT_EQ(queue.size(), live) << "op " << op;
+  }
+  EXPECT_GE(compactions, 50u) << "the cancel-heavy mix must compact the heap many times";
+
+  while (!queue.empty()) {
+    const std::size_t expect = ref_min();
+    ASSERT_LT(expect, reference.size());
+    fired.clear();
+    queue.pop().cb();
+    ASSERT_EQ(fired, std::vector<int>{static_cast<int>(expect)});
+    reference[expect].alive = false;
+  }
+  ASSERT_EQ(ref_min(), reference.size()) << "reference retained events the queue lost";
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueFuzz,
                          ::testing::Values(101, 202, 303, 404, 505));
 

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
+#include <vector>
 
 namespace pofi::ssd {
 namespace {
@@ -200,6 +202,119 @@ TEST(WriteCache, ScrambleWindowOneIsStrictFifo) {
   for (Lpn lpn = 0; lpn < 4; ++lpn) ASSERT_TRUE(h.cache.insert(lpn, lpn + 50));
   h.sim.run_for(Duration::sec(1));
   EXPECT_EQ(h.cache.stats().flushes_completed, 4u);
+}
+
+// LPNs on both sides of the slot index's 64-LPN chunk boundaries, plus one
+// in a chunk of its own far beyond the rest.
+const std::vector<Lpn> kSpread = {1, 63, 64, 65, 127, 128, 129, 4095};
+
+std::vector<Lpn> sorted(std::vector<Lpn> v) {
+  std::sort(v.begin(), v.end());
+  return v;
+}
+
+TEST(WriteCache, DroppedSetEqualsDirtySet) {
+  Harness h;  // hold time 50 ms
+  // Flushed (clean) pages are resident but not lost on power failure.
+  for (const Lpn lpn : {Lpn{2}, Lpn{64}, Lpn{127}, Lpn{3000}}) ASSERT_TRUE(h.cache.insert(lpn, lpn));
+  h.sim.run_for(Duration::ms(200));
+  ASSERT_EQ(h.cache.dirty_pages(), 0u);
+  // Dirty: fresh pages across chunk boundaries plus re-dirtied clean ones.
+  for (const Lpn lpn : kSpread) ASSERT_TRUE(h.cache.insert(lpn, lpn + 7));
+  h.cache.invalidate(129);  // TRIMmed while dirty: gone, not lost
+  std::vector<Lpn> dirty = kSpread;
+  dirty.erase(std::find(dirty.begin(), dirty.end(), Lpn{129}));
+  ASSERT_EQ(h.cache.dirty_pages(), dirty.size());
+  EXPECT_EQ(h.cache.resident_pages(), dirty.size() + 2);  // + clean 2 and 3000
+
+  EXPECT_EQ(h.cache.on_power_lost(), dirty.size());
+  EXPECT_EQ(sorted(h.cache.last_dropped_lpns()), sorted(dirty));
+  EXPECT_EQ(h.cache.resident_pages(), 0u);
+  EXPECT_EQ(h.cache.dirty_pages(), 0u);
+}
+
+TEST(WriteCache, InsertAndLookupWorkAfterPowerLoss) {
+  Harness h;  // hold time 50 ms, 4 flush ways
+  for (const Lpn lpn : kSpread) ASSERT_TRUE(h.cache.insert(lpn, lpn));
+  h.sim.run_for(Duration::ms(50) + Duration::us(10));  // first flushes in flight
+  ASSERT_EQ(h.cache.stats().flushes_completed, 0u);
+  ASSERT_FALSE(h.cache.quiescent());
+  (void)h.cache.on_power_lost();
+  h.cache.on_power_good();
+  for (const Lpn lpn : kSpread) EXPECT_FALSE(h.cache.lookup(lpn).has_value()) << lpn;
+
+  // The arena and index start over: same LPNs (in the same slots), new
+  // values, and a new LPN.
+  for (const Lpn lpn : kSpread) ASSERT_TRUE(h.cache.insert(lpn, lpn + 100));
+  ASSERT_TRUE(h.cache.insert(512, 9));
+  for (const Lpn lpn : kSpread) {
+    EXPECT_EQ(h.cache.lookup(lpn), std::optional<std::uint64_t>(lpn + 100)) << lpn;
+  }
+  EXPECT_EQ(h.cache.lookup(512), std::optional<std::uint64_t>(9));
+  EXPECT_FALSE(h.cache.lookup(0).has_value());
+  EXPECT_EQ(h.cache.resident_pages(), kSpread.size() + 1);
+
+  // The flushes issued before the loss complete now; they name reused slots
+  // but an older dirtying, so nothing turns clean.
+  h.sim.run_for(Duration::ms(20));
+  EXPECT_EQ(h.cache.dirty_pages(), kSpread.size() + 1);
+  EXPECT_EQ(h.cache.stats().flushes_completed, 0u);
+
+  // The new pages flush normally.
+  h.sim.run_for(Duration::ms(300));
+  EXPECT_EQ(h.cache.dirty_pages(), 0u);
+  EXPECT_EQ(h.cache.stats().flushes_completed, kSpread.size() + 1);
+  EXPECT_EQ(h.cache.lookup(4095), std::optional<std::uint64_t>(4195));
+}
+
+TEST(WriteCache, SnapshotRestoreRoundTrip) {
+  auto cfg = Harness::default_cache();
+  cfg.hold_time = Duration::sec(100);  // nothing flushes: the cache stays quiescent
+  cfg.high_watermark = 2.0;
+  Harness h(cfg);
+  for (const Lpn lpn : kSpread) ASSERT_TRUE(h.cache.insert(lpn, lpn * 3));
+  h.cache.invalidate(65);  // leaves a free slot in the arena
+  ASSERT_TRUE(h.cache.quiescent());
+
+  sim::SimulatorImage sim_image;
+  h.sim.snapshot(sim_image);
+  WriteCache::StateImage image;
+  h.cache.snapshot(image);
+  const auto observe = [&h] {
+    std::vector<std::optional<std::uint64_t>> seen;
+    for (Lpn lpn = 0; lpn < 4100; ++lpn) seen.push_back(h.cache.lookup(lpn));
+    return seen;
+  };
+  const auto before = observe();
+  const std::size_t dirty = h.cache.dirty_pages();
+  const std::size_t resident = h.cache.resident_pages();
+
+  // Diverge: reuse the free slot, drop everything, start over.
+  ASSERT_TRUE(h.cache.insert(66, 1));
+  (void)h.cache.on_power_lost();
+  h.cache.on_power_good();
+  ASSERT_TRUE(h.cache.insert(65, 2));
+
+  h.sim.restore(sim_image);
+  sim::TimerRearmer rearm;
+  h.cache.restore(image, rearm);
+  rearm.execute();
+  EXPECT_EQ(observe(), before);
+  EXPECT_EQ(h.cache.dirty_pages(), dirty);
+  EXPECT_EQ(h.cache.resident_pages(), resident);
+  EXPECT_TRUE(h.cache.wake_timer_armed());
+
+  // The restored cache keeps working: a new page takes the free slot, and a
+  // power loss declares exactly the dirty set.
+  ASSERT_TRUE(h.cache.insert(66, 5));
+  EXPECT_EQ(h.cache.lookup(66), std::optional<std::uint64_t>(5));
+  EXPECT_EQ(h.cache.resident_pages(), resident + 1);
+  std::vector<Lpn> expect_dropped = {66};
+  for (const Lpn lpn : kSpread) {
+    if (lpn != 65) expect_dropped.push_back(lpn);
+  }
+  EXPECT_EQ(h.cache.on_power_lost(), expect_dropped.size());
+  EXPECT_EQ(sorted(h.cache.last_dropped_lpns()), sorted(expect_dropped));
 }
 
 }  // namespace
