@@ -207,6 +207,7 @@ BENCHMARK(BM_EventMixLegacy)->Arg(64)->Arg(4096);
 
 void BM_MappingUpdate(benchmark::State& state) {
   ftl::MappingTable map(ftl::MappingPolicy::kPageLevel, 64, 16, 100000);
+  map.prefill_l2p();
   std::uint64_t lpn = 0;
   for (auto _ : state) {
     map.update(lpn % 100000, lpn);
@@ -223,6 +224,7 @@ BENCHMARK(BM_MappingUpdate);
 void BM_MappingLookupFlat(benchmark::State& state) {
   const auto entries = static_cast<std::uint64_t>(state.range(0));
   ftl::MappingTable map(ftl::MappingPolicy::kPageLevel, 64, 16, entries);
+  map.prefill_l2p();
   for (std::uint64_t l = 0; l < entries; ++l) map.update(l, l * 7 + 1);
   map.commit_batch(map.begin_persist_batch());
   std::uint64_t lpn = 0;
@@ -318,6 +320,7 @@ AbResult ab_mapping_lookup(std::uint64_t entries, std::uint64_t lookups) {
   AbResult r;
   r.ops = lookups;
   ftl::MappingTable flat(ftl::MappingPolicy::kPageLevel, 64, 16, entries);
+  flat.prefill_l2p();
   bench::LegacyL2pMap hash;
   for (std::uint64_t l = 0; l < entries; ++l) {
     flat.update(l, l * 7 + 1);
@@ -348,6 +351,7 @@ AbResult ab_mapping_update(std::uint64_t entries, std::uint64_t updates) {
   const auto [s_new, s_old] = best_seconds_ab(
       [&] {
         ftl::MappingTable map(ftl::MappingPolicy::kPageLevel, 64, 16, entries);
+        map.prefill_l2p();
         for (std::uint64_t i = 0; i < updates; ++i) {
           map.update(i % entries, i);
           if ((i + 1) % 4096 == 0) map.commit_batch(map.begin_persist_batch());

@@ -36,8 +36,8 @@ std::uint64_t BlockQueue::submit_read(ftl::Lpn lpn, std::uint32_t pages, Complet
 
 std::uint64_t BlockQueue::submit_discard(ftl::Lpn lpn, std::uint32_t pages,
                                          Completion done) {
-  const std::uint64_t id = next_id_++;
-  ++stats_.submitted;
+  const std::uint64_t id = state_.next_id++;
+  ++state_.stats.submitted;
   LiveRequest req;
   req.id = id;
   req.is_write = true;
@@ -46,13 +46,13 @@ std::uint64_t BlockQueue::submit_discard(ftl::Lpn lpn, std::uint32_t pages,
   req.subs_total = 1;
   req.queued_at = sim_.now();
   req.done = std::move(done);
-  trace_.record(TraceEvent{sim_.now(), Action::kQueued, id, 0, lpn, pages, true});
+  state_.trace.record(TraceEvent{sim_.now(), Action::kQueued, id, 0, lpn, pages, true});
   req.timeout_event = sim_.after(config_.request_timeout, [this, id] { fire_timeout(id); });
   live_.emplace(id, std::move(req));
   obs_outstanding_gauge();
   if (auto* m = sim_.metrics()) m->record(obs_split_fanout_, 1);
 
-  trace_.record(TraceEvent{sim_.now(), Action::kDispatch, id, 0, lpn, pages, true});
+  state_.trace.record(TraceEvent{sim_.now(), Action::kDispatch, id, 0, lpn, pages, true});
   ssd::Command cmd;
   cmd.op = ssd::Command::Op::kTrim;
   cmd.lpn = lpn;
@@ -65,21 +65,21 @@ std::uint64_t BlockQueue::submit_discard(ftl::Lpn lpn, std::uint32_t pages,
 }
 
 std::uint64_t BlockQueue::submit_flush(Completion done) {
-  const std::uint64_t id = next_id_++;
-  ++stats_.submitted;
+  const std::uint64_t id = state_.next_id++;
+  ++state_.stats.submitted;
   LiveRequest req;
   req.id = id;
   req.is_write = true;  // flushes count with the write path in traces
   req.subs_total = 1;
   req.queued_at = sim_.now();
   req.done = std::move(done);
-  trace_.record(TraceEvent{sim_.now(), Action::kQueued, id, 0, 0, 0, true});
+  state_.trace.record(TraceEvent{sim_.now(), Action::kQueued, id, 0, 0, 0, true});
   req.timeout_event = sim_.after(config_.request_timeout, [this, id] { fire_timeout(id); });
   live_.emplace(id, std::move(req));
   obs_outstanding_gauge();
   if (auto* m = sim_.metrics()) m->record(obs_split_fanout_, 1);
 
-  trace_.record(TraceEvent{sim_.now(), Action::kDispatch, id, 0, 0, 0, true});
+  state_.trace.record(TraceEvent{sim_.now(), Action::kDispatch, id, 0, 0, 0, true});
   ssd::Command cmd;
   cmd.op = ssd::Command::Op::kFlush;
   cmd.done = [this, id](ssd::DeviceStatus status, std::vector<std::uint64_t> data) {
@@ -91,8 +91,8 @@ std::uint64_t BlockQueue::submit_flush(Completion done) {
 
 std::uint64_t BlockQueue::submit(bool is_write, ftl::Lpn lpn, std::uint32_t pages,
                                  std::vector<std::uint64_t> contents, Completion done) {
-  const std::uint64_t id = next_id_++;
-  ++stats_.submitted;
+  const std::uint64_t id = state_.next_id++;
+  ++state_.stats.submitted;
 
   LiveRequest req;
   req.id = id;
@@ -103,13 +103,13 @@ std::uint64_t BlockQueue::submit(bool is_write, ftl::Lpn lpn, std::uint32_t page
   req.done = std::move(done);
   if (!is_write) req.read_contents.assign(pages, nand::kErasedContent);
 
-  trace_.record(TraceEvent{sim_.now(), Action::kQueued, id, 0, lpn, pages, is_write});
+  state_.trace.record(TraceEvent{sim_.now(), Action::kQueued, id, 0, lpn, pages, is_write});
 
   // Split into sub-requests of at most max_pages_per_subrequest.
   const std::uint32_t max_sub = std::max(1u, config_.max_pages_per_subrequest);
   const std::uint32_t n_subs = (pages + max_sub - 1) / max_sub;
   req.subs_total = n_subs;
-  if (n_subs > 1) stats_.splits += n_subs - 1;
+  if (n_subs > 1) state_.stats.splits += n_subs - 1;
 
   req.timeout_event =
       sim_.after(config_.request_timeout, [this, id] { fire_timeout(id); });
@@ -121,9 +121,11 @@ std::uint64_t BlockQueue::submit(bool is_write, ftl::Lpn lpn, std::uint32_t page
     const ftl::Lpn sub_lpn = lpn + static_cast<ftl::Lpn>(s) * max_sub;
     const std::uint32_t sub_pages = std::min(max_sub, pages - s * max_sub);
     if (n_subs > 1) {
-      trace_.record(TraceEvent{sim_.now(), Action::kSplit, id, s, sub_lpn, sub_pages, is_write});
+      state_.trace.record(
+          TraceEvent{sim_.now(), Action::kSplit, id, s, sub_lpn, sub_pages, is_write});
     }
-    trace_.record(TraceEvent{sim_.now(), Action::kDispatch, id, s, sub_lpn, sub_pages, is_write});
+    state_.trace.record(
+        TraceEvent{sim_.now(), Action::kDispatch, id, s, sub_lpn, sub_pages, is_write});
 
     ssd::Command cmd;
     cmd.op = is_write ? ssd::Command::Op::kWrite : ssd::Command::Op::kRead;
@@ -152,7 +154,7 @@ void BlockQueue::sub_finished(std::uint64_t id, std::uint32_t sub_index, ftl::Lp
   const bool ok =
       status == ssd::DeviceStatus::kOk || status == ssd::DeviceStatus::kMediaError;
   if (ok) {
-    trace_.record(
+    state_.trace.record(
         TraceEvent{sim_.now(), Action::kComplete, id, sub_index, sub_lpn, sub_pages, req.is_write});
     req.subs_done += 1;
     if (status == ssd::DeviceStatus::kMediaError) req.any_media_error = true;
@@ -163,7 +165,7 @@ void BlockQueue::sub_finished(std::uint64_t id, std::uint32_t sub_index, ftl::Lp
       }
     }
   } else {
-    trace_.record(
+    state_.trace.record(
         TraceEvent{sim_.now(), Action::kError, id, sub_index, sub_lpn, sub_pages, req.is_write});
     req.subs_error += 1;
   }
@@ -185,10 +187,10 @@ void BlockQueue::maybe_complete(std::uint64_t id) {
   out.finished_at = sim_.now();
   out.read_contents = std::move(req.read_contents);
   if (out.status == IoStatus::kOk) {
-    ++stats_.completed_ok;
-    stats_.latency_us.add((out.finished_at - out.queued_at).to_us());
+    ++state_.stats.completed_ok;
+    state_.stats.latency_us.add((out.finished_at - out.queued_at).to_us());
   } else {
-    ++stats_.io_errors;
+    ++state_.stats.io_errors;
   }
   auto done = std::move(req.done);
   live_.erase(it);
@@ -200,8 +202,9 @@ void BlockQueue::fire_timeout(std::uint64_t id) {
   const auto it = live_.find(id);
   if (it == live_.end()) return;
   LiveRequest& req = it->second;
-  trace_.record(TraceEvent{sim_.now(), Action::kTimeout, id, 0, req.lpn, req.pages, req.is_write});
-  ++stats_.timeouts;
+  state_.trace.record(
+      TraceEvent{sim_.now(), Action::kTimeout, id, 0, req.lpn, req.pages, req.is_write});
+  ++state_.stats.timeouts;
   if (auto* m = sim_.metrics()) m->add(obs_timeouts_);
 
   RequestOutcome out;

@@ -84,19 +84,9 @@ class BlockQueue {
   /// device journals it -- see the zombie-data tests).
   std::uint64_t submit_discard(ftl::Lpn lpn, std::uint32_t pages, Completion done);
 
-  [[nodiscard]] BlkTrace& trace() { return trace_; }
-  [[nodiscard]] const BlockQueueStats& stats() const { return stats_; }
+  [[nodiscard]] BlkTrace& trace() { return state_.trace; }
+  [[nodiscard]] const BlockQueueStats& stats() const { return state_.stats; }
   [[nodiscard]] std::size_t outstanding() const { return live_.size(); }
-
-  /// Session reset: drop live requests, stats and the trace buffer (its
-  /// enabled flag is the owner's business). Precondition: simulator events
-  /// drained, so timeout watchdogs cannot fire into a reset queue.
-  void reset() {
-    live_.clear();
-    next_id_ = 1;
-    stats_ = BlockQueueStats{};
-    trace_.clear();
-  }
 
   /// Snapshot precondition: no request in flight (LiveRequest holds a
   /// non-copyable Completion; at quiescence there are none to copy).
@@ -107,16 +97,17 @@ class BlockQueue {
     BlockQueueStats stats;
     std::uint64_t next_id = 1;
   };
-  void snapshot(StateImage& out) const {
-    out.trace = trace_;
-    out.stats = stats_;
-    out.next_id = next_id_;
-  }
+  void snapshot(StateImage& out) const { out = state_; }
   void restore(const StateImage& image) {
+    state_ = image;
     live_.clear();
-    trace_ = image.trace;
-    stats_ = image.stats;
-    next_id_ = image.next_id;
+  }
+  /// Session reset: drop live requests, stats and the trace buffer (its
+  /// enabled flag is the owner's to re-apply). Precondition: simulator
+  /// events drained, so timeout watchdogs cannot fire into a reset queue.
+  void reset() {
+    state_ = pristine_;
+    live_.clear();
   }
 
  private:
@@ -146,10 +137,9 @@ class BlockQueue {
   sim::Simulator& sim_;
   ssd::Ssd& device_;
   Config config_;
-  BlkTrace trace_;
-  BlockQueueStats stats_;
+  StateImage state_;
+  const StateImage pristine_;  ///< see sim/state_image.hpp
   std::unordered_map<std::uint64_t, LiveRequest> live_;
-  std::uint64_t next_id_ = 1;
 
   /// Refresh the outstanding-request gauge from live_.
   void obs_outstanding_gauge();

@@ -9,28 +9,10 @@ namespace pofi::ftl {
 BlockAllocator::BlockAllocator(const nand::Geometry& geometry)
     : geometry_(geometry),
       active_(kStreamCount * geometry.planes),
-      free_heaps_(geometry.planes),
-      fresh_heaps_(geometry.planes) {
+      free_heaps_(geometry.planes) {
   for (BlockId b = 0; b < geometry_.total_blocks(); ++b) {
     free_heaps_[b % geometry_.planes].push(FreeEntry{0, b});
   }
-  // Snapshot the just-built heap containers: reset() restores them with one
-  // capacity-reusing copy per plane instead of total_blocks() re-pushes
-  // (the dominant cost of a session reset on large geometries).
-  for (std::uint32_t p = 0; p < geometry_.planes; ++p) {
-    fresh_heaps_[p] = free_heaps_[p].container();
-  }
-}
-
-void BlockAllocator::reset() {
-  std::fill(active_.begin(), active_.end(), Active{});
-  rr_ = {};
-  for (std::uint32_t p = 0; p < geometry_.planes; ++p) {
-    free_heaps_[p].assign(fresh_heaps_[p]);
-  }
-  erase_counts_.clear();
-  sealed_.clear();
-  pages_allocated_ = 0;
 }
 
 BlockAllocator::Active& BlockAllocator::active_slot(Stream stream, std::uint32_t plane) {

@@ -10,6 +10,11 @@
 // After a power loss the cursors can no longer be trusted (queued programs
 // vanished, interrupted ones burned pages), so recovery abandons all active
 // blocks to the sealed set and opens fresh ones.
+//
+// The allocator is a plain value. The FTL checkpoints it by copy and resets
+// it by assigning the allocator it was built with: the copied free heaps
+// keep the constructor's byte-identical layout, so they pop exactly like
+// fresh ones, at memcpy cost instead of total_blocks() heap pushes.
 #pragma once
 
 #include <algorithm>
@@ -27,6 +32,9 @@ namespace pofi::ftl {
 class BlockAllocator {
  public:
   explicit BlockAllocator(const nand::Geometry& geometry);
+  /// An allocator over no blocks: a placeholder for an image to be assigned
+  /// into.
+  BlockAllocator() = default;
 
   /// Next physical page for a stream; std::nullopt when no free block exists
   /// on any plane.
@@ -42,13 +50,6 @@ class BlockAllocator {
 
   /// Power-loss recovery: drop all active cursors; their blocks are sealed.
   void abandon_active_blocks();
-
-  /// Session reset: rebuild the just-constructed state (all blocks free at
-  /// erase count 0, no cursors) while keeping every container's capacity.
-  /// The free heaps are restored from a snapshot of the constructor-built
-  /// containers — byte-identical layout, so they pop exactly like fresh
-  /// ones — at memcpy cost instead of total_blocks() heap pushes.
-  void reset();
 
   [[nodiscard]] std::size_t free_blocks() const;
   [[nodiscard]] std::uint64_t pages_allocated() const { return pages_allocated_; }
@@ -81,10 +82,6 @@ class BlockAllocator {
     free_heaps_[plane].push(FreeEntry{0, block});
   }
 
-  struct StateImage;
-  void snapshot(StateImage& out) const;
-  void restore(const StateImage& image);
-
  private:
   struct Active {
     BlockId block = 0;
@@ -99,14 +96,9 @@ class BlockAllocator {
       return o.block < block;
     }
   };
-  /// std::priority_queue has no clear() or bulk restore; expose both over
-  /// the protected container so reset() can rebuild a heap from a snapshot
-  /// without freeing its storage. assign() requires `v` to already satisfy
-  /// the heap property (true for a container() snapshot of a valid heap).
+  /// Exposes the protected container for the audit interface.
   struct FreeHeap : std::priority_queue<FreeEntry, std::vector<FreeEntry>, std::greater<>> {
-    void clear() { c.clear(); }
     [[nodiscard]] const std::vector<FreeEntry>& container() const { return c; }
-    void assign(const std::vector<FreeEntry>& v) { c = v; }
   };
 
   bool open_new_block(Active& a, std::uint32_t plane);
@@ -117,46 +109,9 @@ class BlockAllocator {
   std::vector<Active> active_;            ///< [stream * planes + plane]
   std::array<std::uint32_t, kStreamCount> rr_{};  ///< round-robin cursor per stream
   std::vector<FreeHeap> free_heaps_;      ///< per plane
-  /// Constructor-built heap layout, per plane: reset() restores from this.
-  std::vector<std::vector<FreeEntry>> fresh_heaps_;
   std::vector<std::uint32_t> erase_counts_;  ///< dense by BlockId (see dense.hpp)
   std::vector<BlockId> sealed_;
   std::uint64_t pages_allocated_ = 0;
 };
-
-/// Copyable allocator state. Free heaps are captured as their underlying
-/// containers (already heap-ordered) and restored via FreeHeap::assign, the
-/// same byte-identical-layout trick reset() uses.
-struct BlockAllocator::StateImage {
-  std::vector<Active> active;
-  std::array<std::uint32_t, kStreamCount> rr{};
-  std::vector<std::vector<FreeEntry>> free_heaps;
-  std::vector<std::uint32_t> erase_counts;
-  std::vector<BlockId> sealed;
-  std::uint64_t pages_allocated = 0;
-};
-
-inline void BlockAllocator::snapshot(StateImage& out) const {
-  out.active = active_;
-  out.rr = rr_;
-  out.free_heaps.resize(free_heaps_.size());
-  for (std::size_t i = 0; i < free_heaps_.size(); ++i) {
-    out.free_heaps[i] = free_heaps_[i].container();
-  }
-  out.erase_counts = erase_counts_;
-  out.sealed = sealed_;
-  out.pages_allocated = pages_allocated_;
-}
-
-inline void BlockAllocator::restore(const StateImage& image) {
-  active_ = image.active;
-  rr_ = image.rr;
-  for (std::size_t i = 0; i < free_heaps_.size(); ++i) {
-    free_heaps_[i].assign(image.free_heaps[i]);
-  }
-  erase_counts_ = image.erase_counts;
-  sealed_ = image.sealed;
-  pages_allocated_ = image.pages_allocated;
-}
 
 }  // namespace pofi::ftl

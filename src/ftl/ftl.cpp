@@ -18,11 +18,12 @@ constexpr std::uint64_t kJournalTagBase = 0x4A4F55524E414C00ULL;  // "JOURNAL\0"
 Ftl::Ftl(sim::Simulator& simulator, nand::ChipArray& chips, Config config)
     : sim_(simulator),
       chip_(chips),
-      config_(config),
-      map_(config.mapping_policy, config.extent_frame_pages, config.extent_min_fill,
-           config.lpn_capacity != 0 ? config.lpn_capacity
-                                    : chips.geometry().total_pages()),
-      alloc_(chips.geometry()) {
+      config_(config) {
+  pristine_.map = MappingTable(
+      config_.mapping_policy, config_.extent_frame_pages, config_.extent_min_fill,
+      config_.lpn_capacity != 0 ? config_.lpn_capacity : chips.geometry().total_pages());
+  pristine_.alloc = BlockAllocator(chips.geometry());
+  reset();
   if (auto* m = sim_.metrics()) {
     obs_gc_invocations_ = m->counter("ftl.gc.invocations");
     obs_journal_flushes_ = m->counter("ftl.journal.flushes");
@@ -38,72 +39,32 @@ Ftl::Ftl(sim::Simulator& simulator, nand::ChipArray& chips, Config config)
   }
 }
 
-void Ftl::reset() {
-  map_.reset();
-  alloc_.reset();
-  stats_ = FtlStats{};
-  reverse_map_.clear();
-  valid_count_.clear();
-  powered_ = false;
+void Ftl::clear_in_flight() {
   gc_running_ = false;
   journal_in_flight_ = false;
-  emergency_ = false;
   draining_ = false;
   drain_waiters_.clear();
   journal_event_ = {};
-  write_seq_ = 1;
-  checkpoint_seq_ = 0;
-  journal_horizon_ = 0;
-  last_reverted_lpns_.clear();
-  last_committed_lpn_.reset();
-  torture_fault_ = TortureFault::kNone;
-  por_candidates_.clear();
+}
+
+void Ftl::reset() {
+  state_ = pristine_;
+  state_.map.prefill_l2p();
+  clear_in_flight();
 }
 
 void Ftl::snapshot(StateImage& out) const {
   assert(quiescent());
-  map_.snapshot(out.map);
-  alloc_.snapshot(out.alloc);
-  out.stats = stats_;
-  out.reverse_map = reverse_map_;
-  out.valid_count = valid_count_;
-  out.powered = powered_;
-  out.emergency = emergency_;
-  out.write_seq = write_seq_;
-  out.checkpoint_seq = checkpoint_seq_;
-  out.journal_horizon = journal_horizon_;
-  out.last_reverted_lpns = last_reverted_lpns_;
-  out.last_committed_lpn = last_committed_lpn_;
-  out.torture_fault = torture_fault_;
-  out.por_candidates = por_candidates_;
-  out.journal_timer.armed = sim_.event_pending(journal_event_);
-  out.journal_timer.deadline = sim_.event_time(journal_event_);
-  out.journal_timer.seq = journal_event_.raw();
+  out = state_;
+  out.journal_timer = sim_.timer_image(journal_event_);
 }
 
 void Ftl::restore(const StateImage& image, sim::TimerRearmer& rearm) {
-  map_.restore(image.map);
-  alloc_.restore(image.alloc);
-  stats_ = image.stats;
-  reverse_map_ = image.reverse_map;
-  valid_count_ = image.valid_count;
-  powered_ = image.powered;
-  gc_running_ = false;
-  journal_in_flight_ = false;
-  emergency_ = image.emergency;
-  draining_ = false;
-  drain_waiters_.clear();
-  journal_event_ = {};
-  write_seq_ = image.write_seq;
-  checkpoint_seq_ = image.checkpoint_seq;
-  journal_horizon_ = image.journal_horizon;
-  last_reverted_lpns_ = image.last_reverted_lpns;
-  last_committed_lpn_ = image.last_committed_lpn;
-  torture_fault_ = image.torture_fault;
-  por_candidates_ = image.por_candidates;
+  state_ = image;
+  clear_in_flight();
   rearm.enqueue(image.journal_timer, [this, deadline = image.journal_timer.deadline] {
     journal_event_ = sim_.at(deadline, [this] {
-      if (!powered_) return;
+      if (!state_.powered) return;
       journal_tick();
       schedule_journal_tick();
     });
@@ -117,28 +78,28 @@ void Ftl::obs_gc_span_end() {
 // ------------------------------------------------------------- host writes
 
 void Ftl::write(Lpn lpn, std::uint64_t content, WriteCallback cb) {
-  if (!powered_) {
-    ++stats_.failed_writes;
+  if (!state_.powered) {
+    ++state_.stats.failed_writes;
     if (auto* m = sim_.metrics()) m->add(obs_failed_writes_);
     cb(false);
     return;
   }
-  const auto ppn = alloc_.alloc_page(Stream::kHost);
+  const auto ppn = state_.alloc.alloc_page(Stream::kHost);
   if (!ppn.has_value()) {
-    ++stats_.failed_writes;
+    ++state_.stats.failed_writes;
     if (auto* m = sim_.metrics()) m->add(obs_failed_writes_);
     cb(false);
     return;
   }
-  const nand::Oob oob{lpn, write_seq_++};
-  if (config_.por_scan) por_candidates_.insert(chip_.geometry().block_of(*ppn));
+  const nand::Oob oob{lpn, state_.write_seq++};
+  if (config_.por_scan) state_.por_candidates.insert(chip_.geometry().block_of(*ppn));
   if (config_.map_update_on_issue) {
     // Commodity behaviour: the L2P entry goes live (volatile) immediately;
     // the flash program races the next power fault.
     finish_host_write(lpn, *ppn, content);
     chip_.program(*ppn, content, oob, [this, cb = std::move(cb)](nand::OpResult r) {
       if (!r.ok()) {
-        ++stats_.failed_writes;
+        ++state_.stats.failed_writes;
         if (auto* m = sim_.metrics()) m->add(obs_failed_writes_);
       }
       cb(r.ok());
@@ -148,7 +109,7 @@ void Ftl::write(Lpn lpn, std::uint64_t content, WriteCallback cb) {
   chip_.program(*ppn, content, oob,
                 [this, lpn, ppn = *ppn, content, cb = std::move(cb)](nand::OpResult r) {
                   if (!r.ok()) {
-                    ++stats_.failed_writes;
+                    ++state_.stats.failed_writes;
                     if (auto* m = sim_.metrics()) m->add(obs_failed_writes_);
                     cb(false);
                     return;
@@ -159,39 +120,40 @@ void Ftl::write(Lpn lpn, std::uint64_t content, WriteCallback cb) {
 }
 
 void Ftl::finish_host_write(Lpn lpn, Ppn ppn, std::uint64_t /*content*/) {
-  ++stats_.host_writes;
-  if (const auto old = map_.lookup(lpn); old.has_value()) invalidate(*old);
-  map_.update(lpn, ppn);
-  stats_.extents_coalesced = map_.extents_closed_full();
+  ++state_.stats.host_writes;
+  if (const auto old = state_.map.lookup(lpn); old.has_value()) invalidate(*old);
+  state_.map.update(lpn, ppn);
+  state_.stats.extents_coalesced = state_.map.extents_closed_full();
   make_valid(lpn, ppn);
-  if (map_.committable_count() >= config_.journal_batch_threshold && !journal_in_flight_) {
+  if (state_.map.committable_count() >= config_.journal_batch_threshold && !journal_in_flight_) {
     journal_tick();
   }
   maybe_start_gc();
 }
 
 void Ftl::invalidate(Ppn ppn) {
-  if (ppn < reverse_map_.size()) reverse_map_[ppn] = kUnmappedLpn;
+  if (ppn < state_.reverse_map.size()) state_.reverse_map[ppn] = kUnmappedLpn;
   const BlockId b = chip_.geometry().block_of(ppn);
-  if (b < valid_count_.size() && valid_count_[b] > 0) --valid_count_[b];
+  if (b < state_.valid_count.size() && state_.valid_count[b] > 0) --state_.valid_count[b];
 }
 
 void Ftl::make_valid(Lpn lpn, Ppn ppn) {
-  grow_dense(reverse_map_, ppn, chip_.geometry().total_pages(), kUnmappedLpn);
-  reverse_map_[ppn] = lpn;
+  grow_dense(state_.reverse_map, ppn, chip_.geometry().total_pages(), kUnmappedLpn);
+  state_.reverse_map[ppn] = lpn;
   const BlockId b = chip_.geometry().block_of(ppn);
-  grow_dense(valid_count_, b, chip_.geometry().total_blocks(), 0U);
-  ++valid_count_[b];
+  grow_dense(state_.valid_count, b, chip_.geometry().total_blocks(), 0U);
+  ++state_.valid_count[b];
 }
 
 // -------------------------------------------------------------- host reads
 
 void Ftl::read(Lpn lpn, ReadCallback cb) {
-  ++stats_.host_reads;
-  const auto ppn = map_.lookup(lpn);
+  ++state_.stats.host_reads;
+  const auto ppn = state_.map.lookup(lpn);
   if (!ppn.has_value()) {
     nand::ReadResult r;
-    r.status = powered_ ? nand::ReadResult::Status::kOk : nand::ReadResult::Status::kPowerLost;
+    r.status =
+        state_.powered ? nand::ReadResult::Status::kOk : nand::ReadResult::Status::kPowerLost;
     r.content = nand::kErasedContent;
     cb(r, false);
     return;
@@ -200,36 +162,36 @@ void Ftl::read(Lpn lpn, ReadCallback cb) {
 }
 
 void Ftl::trim(Lpn lpn) {
-  const auto ppn = map_.lookup(lpn);
+  const auto ppn = state_.map.lookup(lpn);
   if (!ppn.has_value()) return;
   invalidate(*ppn);
-  map_.remove(lpn);
+  state_.map.remove(lpn);
 }
 
 // ----------------------------------------------------------------- journal
 
 void Ftl::schedule_journal_tick() {
   journal_event_ = sim_.after(config_.journal_interval, [this] {
-    if (!powered_) return;
+    if (!state_.powered) return;
     journal_tick();
     schedule_journal_tick();
   });
 }
 
 void Ftl::journal_tick() {
-  if (journal_in_flight_ || !powered_) return;
-  const std::uint64_t batch = map_.begin_persist_batch(emergency_ || draining_);
+  if (journal_in_flight_ || !state_.powered) return;
+  const std::uint64_t batch = state_.map.begin_persist_batch(state_.emergency || draining_);
   if (batch == 0) return;
   persist_batch(batch);
 }
 
 void Ftl::set_emergency(bool on) {
-  emergency_ = on;
+  state_.emergency = on;
   if (on) journal_tick();
 }
 
 void Ftl::flush_all(std::function<void()> done) {
-  if (map_.volatile_count() == 0) {
+  if (state_.map.volatile_count() == 0) {
     if (done) done();
     return;
   }
@@ -239,14 +201,14 @@ void Ftl::flush_all(std::function<void()> done) {
 }
 
 void Ftl::persist_batch(std::uint64_t batch) {
-  const auto ppn = alloc_.alloc_page(Stream::kJournal);
+  const auto ppn = state_.alloc.alloc_page(Stream::kJournal);
   if (!ppn.has_value()) {
     // No journal space: the batch simply stays volatile (commit never runs).
     return;
   }
   journal_in_flight_ = true;
-  const std::size_t entries = map_.batch_size(batch);
-  const std::uint64_t cut_seq = write_seq_ - 1;
+  const std::size_t entries = state_.map.batch_size(batch);
+  const std::uint64_t cut_seq = state_.write_seq - 1;
   if (auto* m = sim_.metrics()) m->trace().begin(obs_span_journal_, sim_.now());
   chip_.program(*ppn, kJournalTagBase | batch, [this, batch, entries,
                                                 cut_seq](nand::OpResult r) {
@@ -256,24 +218,24 @@ void Ftl::persist_batch(std::uint64_t batch) {
     // Batches commit in cut order (journal_in_flight_ serialises them), so
     // cut_seq is monotone and the horizon only advances. Record the newest
     // journaled LPN before the batch bookkeeping is consumed (fault hook).
-    const auto& lpns = map_.batch_lpns(batch);
-    if (!lpns.empty()) last_committed_lpn_ = lpns.back();
-    map_.commit_batch(batch);
-    journal_horizon_ = cut_seq;
-    ++stats_.journal_flushes;
-    stats_.journal_entries_persisted += entries;
+    const auto& lpns = state_.map.batch_lpns(batch);
+    if (!lpns.empty()) state_.last_committed_lpn = lpns.back();
+    state_.map.commit_batch(batch);
+    state_.journal_horizon = cut_seq;
+    ++state_.stats.journal_flushes;
+    state_.stats.journal_entries_persisted += entries;
     if (auto* m = sim_.metrics()) {
       m->add(obs_journal_flushes_);
       m->add(obs_journal_entries_, entries);
     }
-    if (map_.volatile_count() == 0) {
+    if (state_.map.volatile_count() == 0) {
       // Full checkpoint: everything stamped up to cut_seq is durable.
-      checkpoint_seq_ = cut_seq;
-      por_candidates_.clear();
+      state_.checkpoint_seq = cut_seq;
+      state_.por_candidates.clear();
     }
     // PLP/FLUSH drain: chase the map to fully-persisted.
-    if ((emergency_ || draining_) && powered_) journal_tick();
-    if (draining_ && map_.volatile_count() == 0) {
+    if ((state_.emergency || draining_) && state_.powered) journal_tick();
+    if (draining_ && state_.map.volatile_count() == 0) {
       draining_ = false;
       auto waiters = std::move(drain_waiters_);
       drain_waiters_.clear();
@@ -287,15 +249,15 @@ void Ftl::flush_journal_now() { journal_tick(); }
 // --------------------------------------------------------------------- GC
 
 void Ftl::maybe_start_gc() {
-  if (gc_running_ || !powered_) return;
-  if (alloc_.free_blocks() >= config_.gc_low_watermark) return;
+  if (gc_running_ || !state_.powered) return;
+  if (state_.alloc.free_blocks() >= config_.gc_low_watermark) return;
   // Greedy victim: sealed block with the fewest valid pages.
-  const auto& sealed = alloc_.sealed_blocks();
+  const auto& sealed = state_.alloc.sealed_blocks();
   if (sealed.empty()) return;
   BlockId victim = sealed.front();
   std::uint32_t best_valid = ~0U;
   for (const BlockId b : sealed) {
-    const std::uint32_t v = b < valid_count_.size() ? valid_count_[b] : 0;
+    const std::uint32_t v = b < state_.valid_count.size() ? state_.valid_count[b] : 0;
     if (v < best_valid) {
       best_valid = v;
       victim = b;
@@ -306,12 +268,12 @@ void Ftl::maybe_start_gc() {
     m->add(obs_gc_invocations_);
     m->trace().begin(obs_span_gc_, sim_.now());
   }
-  alloc_.unseal(victim);
+  state_.alloc.unseal(victim);
   gc_relocate_next(victim, 0);
 }
 
 void Ftl::gc_relocate_next(BlockId victim, std::uint32_t page_index) {
-  if (!powered_) {
+  if (!state_.powered) {
     gc_running_ = false;
     obs_gc_span_end();
     return;
@@ -322,13 +284,13 @@ void Ftl::gc_relocate_next(BlockId victim, std::uint32_t page_index) {
     return;
   }
   const Ppn ppn = geom.first_page(victim) + page_index;
-  const Lpn lpn = ppn < reverse_map_.size() ? reverse_map_[ppn] : kUnmappedLpn;
-  if (lpn == kUnmappedLpn || map_.lookup(lpn) != std::optional<Ppn>(ppn)) {
+  const Lpn lpn = ppn < state_.reverse_map.size() ? state_.reverse_map[ppn] : kUnmappedLpn;
+  if (lpn == kUnmappedLpn || state_.map.lookup(lpn) != std::optional<Ppn>(ppn)) {
     gc_relocate_next(victim, page_index + 1);  // page is stale
     return;
   }
   chip_.read(ppn, [this, victim, page_index, lpn, ppn](nand::ReadResult r) {
-    if (!powered_) {
+    if (!state_.powered) {
       gc_running_ = false;
       obs_gc_span_end();
       return;
@@ -340,26 +302,26 @@ void Ftl::gc_relocate_next(BlockId victim, std::uint32_t page_index) {
     }
     // Relocate whatever the array returned — if ECC failed, the corruption
     // propagates, exactly as on a real drive.
-    const auto dst = alloc_.alloc_page(Stream::kGc);
+    const auto dst = state_.alloc.alloc_page(Stream::kGc);
     if (!dst.has_value()) {
       gc_running_ = false;
       obs_gc_span_end();
       return;
     }
-    const nand::Oob oob{lpn, write_seq_++};
-    if (config_.por_scan) por_candidates_.insert(chip_.geometry().block_of(*dst));
+    const nand::Oob oob{lpn, state_.write_seq++};
+    if (config_.por_scan) state_.por_candidates.insert(chip_.geometry().block_of(*dst));
     chip_.program(*dst, r.content, oob, [this, victim, page_index, lpn, ppn,
                                          dst = *dst](nand::OpResult pr) {
-      if (!powered_ || !pr.ok()) {
+      if (!state_.powered || !pr.ok()) {
         gc_running_ = false;
         obs_gc_span_end();
         return;
       }
-      if (map_.lookup(lpn) == std::optional<Ppn>(ppn)) {
+      if (state_.map.lookup(lpn) == std::optional<Ppn>(ppn)) {
         invalidate(ppn);
-        map_.update(lpn, dst);
+        state_.map.update(lpn, dst);
         make_valid(lpn, dst);
-        ++stats_.gc_relocations;
+        ++state_.stats.gc_relocations;
       }
       gc_relocate_next(victim, page_index + 1);
     });
@@ -370,11 +332,11 @@ void Ftl::gc_erase_victim(BlockId victim) {
   chip_.erase(victim, [this, victim](nand::OpResult r) {
     gc_running_ = false;
     obs_gc_span_end();
-    if (!powered_) return;
+    if (!state_.powered) return;
     if (r.ok()) {
-      if (victim < valid_count_.size()) valid_count_[victim] = 0;
-      alloc_.on_block_erased(victim);
-      ++stats_.gc_erases;
+      if (victim < state_.valid_count.size()) state_.valid_count[victim] = 0;
+      state_.alloc.on_block_erased(victim);
+      ++state_.stats.gc_erases;
     } else if (r.status == nand::OpResult::Status::kBadBlock) {
       // The victim wore out under us: it never returns to the free pool —
       // the array-level equivalent of a bad-block remap.
@@ -387,7 +349,7 @@ void Ftl::gc_erase_victim(BlockId victim) {
 // ------------------------------------------------------------------- power
 
 void Ftl::on_power_lost() {
-  powered_ = false;
+  state_.powered = false;
   sim_.cancel(journal_event_);
   journal_in_flight_ = false;
   gc_running_ = false;
@@ -397,41 +359,41 @@ void Ftl::on_power_lost() {
     m->trace().end(obs_span_gc_, sim_.now());
     m->trace().end(obs_span_por_, sim_.now());
   }
-  emergency_ = false;
+  state_.emergency = false;
   draining_ = false;
   drain_waiters_.clear();
 
-  const auto reverted = map_.on_power_lost();
-  stats_.map_updates_reverted += reverted.size();
+  const auto reverted = state_.map.on_power_lost();
+  state_.stats.map_updates_reverted += reverted.size();
   if (auto* m = sim_.metrics()) m->add(obs_map_reverted_, reverted.size());
-  last_reverted_lpns_.clear();
+  state_.last_reverted_lpns.clear();
   for (const auto& r : reverted) {
     if (r.dropped_ppn.has_value()) invalidate(*r.dropped_ppn);
     if (r.restored_ppn.has_value()) make_valid(r.lpn, *r.restored_ppn);
-    last_reverted_lpns_.push_back(r.lpn);
+    state_.last_reverted_lpns.push_back(r.lpn);
   }
-  std::sort(last_reverted_lpns_.begin(), last_reverted_lpns_.end());
+  std::sort(state_.last_reverted_lpns.begin(), state_.last_reverted_lpns.end());
 
   // Deliberately broken recovery (torture self-tests): forget the newest
   // durably-journaled mapping without repairing valid counts or the reverse
   // map — the footprint of a replay that skipped its last record.
-  if (torture_fault_ == TortureFault::kSkipLastJournalRecord &&
-      last_committed_lpn_.has_value() &&
-      map_.lookup(*last_committed_lpn_).has_value()) {
-    map_.debug_clear_slot(*last_committed_lpn_);
+  if (state_.torture_fault == TortureFault::kSkipLastJournalRecord &&
+      state_.last_committed_lpn.has_value() &&
+      state_.map.lookup(*state_.last_committed_lpn).has_value()) {
+    state_.map.debug_clear_slot(*state_.last_committed_lpn);
   }
 }
 
 void Ftl::on_power_good() {
-  powered_ = true;
-  alloc_.abandon_active_blocks();
+  state_.powered = true;
+  state_.alloc.abandon_active_blocks();
   schedule_journal_tick();
 }
 
 // --------------------------------------------------------- power-on recovery
 
 void Ftl::recover_por(std::function<void()> done) {
-  if (!config_.por_scan || por_candidates_.empty()) {
+  if (!config_.por_scan || state_.por_candidates.empty()) {
     if (done) done();
     return;
   }
@@ -441,7 +403,7 @@ void Ftl::recover_por(std::function<void()> done) {
   // Scan in block order, not hash-set order: the candidate set's iteration
   // order reflects its insertion/rehash history, which a snapshot restore
   // cannot reproduce — and the scan order shapes the mount's event stream.
-  std::vector<BlockId> candidates(por_candidates_.begin(), por_candidates_.end());
+  std::vector<BlockId> candidates(state_.por_candidates.begin(), state_.por_candidates.end());
   std::sort(candidates.begin(), candidates.end());
   auto pages = std::make_shared<std::vector<Ppn>>();
   for (const BlockId b : candidates) {
@@ -457,7 +419,7 @@ void Ftl::recover_por(std::function<void()> done) {
 void Ftl::por_scan_next(std::shared_ptr<std::vector<Ppn>> pages, std::size_t index,
                         std::shared_ptr<std::unordered_map<Lpn, PorHit>> hits,
                         std::function<void()> done) {
-  if (!powered_) return;  // a second fault killed the scan; next mount retries
+  if (!state_.powered) return;  // a second fault killed the scan; next mount retries
   if (index >= pages->size()) {
     por_apply(*hits, std::move(done));
     return;
@@ -465,9 +427,9 @@ void Ftl::por_scan_next(std::shared_ptr<std::vector<Ppn>> pages, std::size_t ind
   const Ppn ppn = (*pages)[index];
   chip_.read_oob(ppn, [this, pages = std::move(pages), index, hits = std::move(hits),
                        done = std::move(done), ppn](nand::NandChip::OobResult r) mutable {
-    ++stats_.por_pages_scanned;
+    ++state_.stats.por_pages_scanned;
     if (auto* m = sim_.metrics()) m->add(obs_por_pages_scanned_);
-    if (r.ok && r.oob.valid() && r.oob.seq > checkpoint_seq_) {
+    if (r.ok && r.oob.valid() && r.oob.seq > state_.checkpoint_seq) {
       auto& hit = (*hits)[r.oob.lpn];
       if (r.oob.seq > hit.seq) hit = PorHit{ppn, r.oob.seq};
     }
@@ -492,7 +454,7 @@ void Ftl::por_apply(const std::unordered_map<Lpn, PorHit>& hits, std::function<v
 
 void Ftl::por_apply_next(std::shared_ptr<std::vector<std::pair<Lpn, PorHit>>> remaining,
                          std::function<void()> done) {
-  if (!powered_) return;  // a second fault killed the recovery; next mount retries
+  if (!state_.powered) return;  // a second fault killed the recovery; next mount retries
   if (remaining->empty()) {
     if (auto* m = sim_.metrics()) m->trace().end(obs_span_por_, sim_.now());
     // Checkpoint the recovered map so the next crash starts clean.
@@ -503,7 +465,7 @@ void Ftl::por_apply_next(std::shared_ptr<std::vector<std::pair<Lpn, PorHit>>> re
   }
   const auto [lpn, hit] = remaining->back();
   remaining->pop_back();
-  const auto current = map_.lookup(lpn);
+  const auto current = state_.map.lookup(lpn);
   if (!current.has_value()) {
     install_por_hit(lpn, hit, current);
     por_apply_next(std::move(remaining), std::move(done));
@@ -516,7 +478,7 @@ void Ftl::por_apply_next(std::shared_ptr<std::vector<std::pair<Lpn, PorHit>>> re
   // Compare against the mapped copy's stamp; only newer data wins.
   chip_.read_oob(*current, [this, lpn = lpn, hit = hit, current, remaining = std::move(remaining),
                             done = std::move(done)](nand::NandChip::OobResult r) mutable {
-    if (!powered_) return;
+    if (!state_.powered) return;
     if (!r.ok || !r.oob.valid() || r.oob.seq < hit.seq) {
       install_por_hit(lpn, hit, current);
     }
@@ -526,9 +488,9 @@ void Ftl::por_apply_next(std::shared_ptr<std::vector<std::pair<Lpn, PorHit>>> re
 
 void Ftl::install_por_hit(Lpn lpn, const PorHit& hit, std::optional<Ppn> current) {
   if (current.has_value()) invalidate(*current);
-  map_.update(lpn, hit.ppn);
+  state_.map.update(lpn, hit.ppn);
   make_valid(lpn, hit.ppn);
-  ++stats_.por_entries_recovered;
+  ++state_.stats.por_entries_recovered;
   if (auto* m = sim_.metrics()) m->add(obs_por_recovered_);
 }
 

@@ -114,24 +114,31 @@ class Ftl {
   /// valid counts or the reverse map, exactly as a skipped record would).
   enum class TortureFault : std::uint8_t { kNone, kSkipLastJournalRecord };
 
-  /// Copyable FTL state at a quiescent boundary. The armed journal tick is
-  /// captured as a TimerImage; restore() re-creates its callback and hands
-  /// the re-arm to the TimerRearmer so tie-breaks replay in original order.
+  /// FTL state. GC, journal-commit and FLUSH-drain progress are in-flight
+  /// fields outside it, idle at a quiescent boundary. The armed journal
+  /// tick is captured as a TimerImage; restore() re-creates its callback and
+  /// hands the re-arm to the TimerRearmer so tie-breaks replay in original
+  /// order.
   struct StateImage {
-    MappingTable::StateImage map;
-    BlockAllocator::StateImage alloc;
+    MappingTable map;
+    BlockAllocator alloc;
     FtlStats stats;
+    // Dense, never iterated: flat vectors beat hash maps on the write hot
+    // path (see dense.hpp). reverse_map holds kUnmappedLpn for dead pages;
+    // valid_count defaults to 0 for blocks never written.
     std::vector<Lpn> reverse_map;
     std::vector<std::uint32_t> valid_count;
     bool powered = false;
     bool emergency = false;
-    std::uint64_t write_seq = 1;
-    std::uint64_t checkpoint_seq = 0;
-    std::uint64_t journal_horizon = 0;
-    std::vector<Lpn> last_reverted_lpns;
-    std::optional<Lpn> last_committed_lpn;
+    // Power-on recovery state.
+    std::uint64_t write_seq = 1;  ///< global OOB sequence stamp
+    std::uint64_t checkpoint_seq = 0;  ///< highest seq covered by the journal
+    std::uint64_t journal_horizon = 0;  ///< highest committed batch cut_seq
+    std::vector<Lpn> last_reverted_lpns;  ///< declared FWA set, latest loss
+    std::optional<Lpn> last_committed_lpn;  ///< newest journaled LPN (fault hook)
     TortureFault torture_fault = TortureFault::kNone;
-    std::unordered_set<BlockId> por_candidates;
+    std::unordered_set<BlockId> por_candidates;  ///< blocks with post-checkpoint data
+    /// Image only: snapshot() fills it; the live value's copy is never read.
     sim::TimerImage journal_timer;
   };
 
@@ -149,46 +156,46 @@ class Ftl {
   /// its checkpoint) completes. Call after on_power_good().
   void recover_por(std::function<void()> done);
 
-  [[nodiscard]] const MappingTable& mapping() const { return map_; }
-  [[nodiscard]] const FtlStats& stats() const { return stats_; }
-  [[nodiscard]] std::size_t free_blocks() const { return alloc_.free_blocks(); }
+  [[nodiscard]] const MappingTable& mapping() const { return state_.map; }
+  [[nodiscard]] const FtlStats& stats() const { return state_.stats; }
+  [[nodiscard]] std::size_t free_blocks() const { return state_.alloc.free_blocks(); }
   [[nodiscard]] bool gc_running() const { return gc_running_; }
 
   // --- Audit interface (read-only; src/torture/) ----------------------------
-  [[nodiscard]] const BlockAllocator& allocator() const { return alloc_; }
+  [[nodiscard]] const BlockAllocator& allocator() const { return state_.alloc; }
   /// LPN this physical page holds, or kUnmappedLpn for dead/never-written.
   [[nodiscard]] Lpn reverse_lpn(Ppn ppn) const {
-    return ppn < reverse_map_.size() ? reverse_map_[ppn] : kUnmappedLpn;
+    return ppn < state_.reverse_map.size() ? state_.reverse_map[ppn] : kUnmappedLpn;
   }
   /// Live-page count the FTL believes `block` has.
   [[nodiscard]] std::uint32_t valid_count(BlockId block) const {
-    return block < valid_count_.size() ? valid_count_[block] : 0;
+    return block < state_.valid_count.size() ? state_.valid_count[block] : 0;
   }
-  [[nodiscard]] std::uint64_t write_seq() const { return write_seq_; }
-  [[nodiscard]] std::uint64_t checkpoint_seq() const { return checkpoint_seq_; }
+  [[nodiscard]] std::uint64_t write_seq() const { return state_.write_seq; }
+  [[nodiscard]] std::uint64_t checkpoint_seq() const { return state_.checkpoint_seq; }
   /// Highest OOB write-sequence stamp covered by a durably committed journal
   /// batch. Any *persisted* (non-volatile) mapping must carry seq <= horizon;
   /// a newer one means journal replay lost or skipped a record.
-  [[nodiscard]] std::uint64_t journal_horizon() const { return journal_horizon_; }
+  [[nodiscard]] std::uint64_t journal_horizon() const { return state_.journal_horizon; }
   /// LPNs whose mapping was reverted by the most recent power loss — the
   /// FTL's own declaration of which ACKed writes it knowingly rolled back
   /// (FWA candidates). Sorted; cleared on reset, replaced on each loss.
   [[nodiscard]] const std::vector<Lpn>& last_reverted_lpns() const {
-    return last_reverted_lpns_;
+    return state_.last_reverted_lpns;
   }
 
   // --- Torture fault hooks (tests + torture exploration only) ---------------
-  void set_torture_fault(TortureFault fault) { torture_fault_ = fault; }
+  void set_torture_fault(TortureFault fault) { state_.torture_fault = fault; }
 
   /// Test-only corruption hooks for auditor self-tests: desynchronise the
   /// map from physical accounting in targeted ways.
-  void debug_corrupt_map(Lpn lpn, Ppn ppn) { map_.debug_set_slot(lpn, ppn); }
-  void debug_corrupt_drop_mapping(Lpn lpn) { map_.debug_clear_slot(lpn); }
+  void debug_corrupt_map(Lpn lpn, Ppn ppn) { state_.map.debug_set_slot(lpn, ppn); }
+  void debug_corrupt_drop_mapping(Lpn lpn) { state_.map.debug_clear_slot(lpn); }
   void debug_set_valid_count(BlockId block, std::uint32_t count) {
-    if (block < valid_count_.size()) valid_count_[block] = count;
+    if (block < state_.valid_count.size()) state_.valid_count[block] = count;
   }
   /// Mutable allocator access for BlockAllocator::debug_force_free.
-  [[nodiscard]] BlockAllocator& debug_allocator() { return alloc_; }
+  [[nodiscard]] BlockAllocator& debug_allocator() { return state_.alloc; }
 
   /// Force a journal flush now (used by PLP emergency shutdown and tests).
   void flush_journal_now();
@@ -214,36 +221,25 @@ class Ftl {
   void maybe_start_gc();
   void gc_relocate_next(BlockId victim, std::uint32_t page_index);
   void gc_erase_victim(BlockId victim);
+  /// Drop GC, journal-commit and FLUSH-drain progress (their events are
+  /// gone) and forget the journal tick's event id.
+  void clear_in_flight();
 
   sim::Simulator& sim_;
   nand::ChipArray& chip_;
   Config config_;
-  MappingTable map_;
-  BlockAllocator alloc_;
-  FtlStats stats_;
+  /// The value reset() assigns, set once by the constructor: a fresh
+  /// allocator and an empty map whose L2P reset() prefills in place (see
+  /// sim/state_image.hpp).
+  StateImage pristine_;
+  StateImage state_;
 
-  // Dense, never iterated: flat vectors beat hash maps on the write hot
-  // path (see dense.hpp). reverse_map_ holds kUnmappedLpn for dead pages;
-  // valid_count_ defaults to 0 for blocks never written.
-  std::vector<Lpn> reverse_map_;
-  std::vector<std::uint32_t> valid_count_;
-
-  bool powered_ = false;
   bool gc_running_ = false;
   bool journal_in_flight_ = false;
-  bool emergency_ = false;
   bool draining_ = false;
   std::vector<std::function<void()>> drain_waiters_;
   sim::EventId journal_event_{};
 
-  // Power-on recovery state.
-  std::uint64_t write_seq_ = 1;            ///< global OOB sequence stamp
-  std::uint64_t checkpoint_seq_ = 0;  ///< highest seq covered by the journal
-  std::uint64_t journal_horizon_ = 0;  ///< highest committed batch cut_seq
-  std::vector<Lpn> last_reverted_lpns_;  ///< declared FWA set, latest loss
-  std::optional<Lpn> last_committed_lpn_;  ///< newest journaled LPN (fault hook)
-  TortureFault torture_fault_ = TortureFault::kNone;
-  std::unordered_set<BlockId> por_candidates_;  ///< blocks with post-checkpoint data
   struct PorHit {
     Ppn ppn;
     std::uint64_t seq;

@@ -19,6 +19,10 @@
 // check and an array index, no hashing. Only the sparse *bookkeeping*
 // (volatile/dirty state, journal batches, extent frames) stays in hash maps;
 // those are touched per journal cycle, not per IO.
+//
+// The table is a plain value: the FTL checkpoints it by copy and resets it
+// by assigning the table it was built with (container assignment reuses the
+// target's capacity), then prefills the L2P in place.
 #pragma once
 
 #include <algorithm>
@@ -62,21 +66,31 @@ class MappingTable {
   /// once `min_extent_fill` of its pages are dirty. A full or stagnant frame
   /// closes and becomes journalable.
   ///
-  /// `lpn_capacity`: size of the LPN space (device geometry). Used to
-  /// pre-size the dense L2P array; 0 means unknown, and the array grows
-  /// geometrically as high LPNs are touched. Either way the table serves
-  /// any LPN — capacity is a sizing hint, not a limit.
+  /// `lpn_capacity`: size of the LPN space (device geometry). Bounds
+  /// prefill_l2p() and the geometric growth of the dense L2P array; 0 means
+  /// unknown. Either way the table serves any LPN — capacity is a sizing
+  /// hint, not a limit.
   explicit MappingTable(MappingPolicy policy, std::uint32_t extent_pages = 64,
                         std::uint32_t min_extent_fill = 16,
                         std::uint64_t lpn_capacity = 0)
       : policy_(policy),
         extent_pages_(extent_pages),
         min_extent_fill_(min_extent_fill),
-        lpn_capacity_(lpn_capacity) {
-    // Materialise small address spaces up front (tests, 1–4 GiB drives);
-    // cap the eager allocation so a 256 GiB fleet preset doesn't pay half a
-    // gigabyte per campaign for LPNs its workload never touches.
-    map_.assign(static_cast<std::size_t>(std::min(lpn_capacity, kEagerInitLpns)),
+        lpn_capacity_(lpn_capacity) {}
+  /// An empty page-level table: a placeholder for an image to be assigned
+  /// into.
+  MappingTable() = default;
+
+  /// Size the dense L2P to its eager bound, every slot unmapped, in place:
+  /// small address spaces (tests, 1–4 GiB drives) then never grow on the IO
+  /// path, and the cap keeps a 256 GiB fleet preset from paying half a
+  /// gigabyte per campaign for LPNs its workload never touches. Call it on a
+  /// table that maps nothing. resize() rather than assign(): GCC turns an
+  /// inlined assign of the constant sentinel into memset, which fills a
+  /// freshly mapped L2P ~15% slower than resize's out-of-line store loop
+  /// (most of a small drive's construction time).
+  void prefill_l2p() {
+    map_.resize(static_cast<std::size_t>(std::min(lpn_capacity_, kEagerInitLpns)),
                 kUnmappedPpn);
   }
 
@@ -149,29 +163,10 @@ class MappingTable {
     }
   }
 
-  /// Session reset: back to the just-constructed (empty) state. The dense
-  /// array is re-assigned to its eager-init size — shrinking any lazy growth
-  /// back, without giving up capacity — and the bookkeeping maps are cleared
-  /// with their buckets retained.
-  void reset() {
-    map_.assign(static_cast<std::size_t>(std::min(lpn_capacity_, kEagerInitLpns)),
-                kUnmappedPpn);
-    mapped_count_ = 0;
-    volatile_.clear();
-    batches_.clear();
-    next_batch_ = 1;
-    frames_.clear();
-    extents_closed_full_ = 0;
-  }
-
   /// Frames currently detected as open (growing) extents.
   [[nodiscard]] std::size_t open_extents() const;
   /// Extents that filled completely and were journaled as one unit.
   [[nodiscard]] std::uint64_t extents_closed_full() const { return extents_closed_full_; }
-
-  struct StateImage;
-  void snapshot(StateImage& out) const;
-  void restore(const StateImage& image);
 
  private:
   struct DirtyState {
@@ -198,10 +193,10 @@ class MappingTable {
   void set_slot(Lpn lpn, Ppn ppn);
   void clear_slot(Lpn lpn);
 
-  MappingPolicy policy_;
-  std::uint32_t extent_pages_;
-  std::uint32_t min_extent_fill_;
-  std::uint64_t lpn_capacity_;
+  MappingPolicy policy_ = MappingPolicy::kPageLevel;
+  std::uint32_t extent_pages_ = 64;
+  std::uint32_t min_extent_fill_ = 16;
+  std::uint64_t lpn_capacity_ = 0;
 
   std::vector<Ppn> map_;  ///< dense L2P; kUnmappedPpn = no mapping
   std::size_t mapped_count_ = 0;
@@ -212,38 +207,5 @@ class MappingTable {
   std::unordered_map<std::uint64_t, Frame> frames_;
   std::uint64_t extents_closed_full_ = 0;
 };
-
-/// Copyable mapping state: the dense L2P array plus all journal/extent
-/// bookkeeping. Container assignment reuses capacity/buckets across capture
-/// cycles.
-struct MappingTable::StateImage {
-  std::vector<Ppn> map;
-  std::size_t mapped_count = 0;
-  std::unordered_map<Lpn, DirtyState> volatile_entries;
-  std::unordered_map<std::uint64_t, std::vector<Lpn>> batches;
-  std::uint64_t next_batch = 1;
-  std::unordered_map<std::uint64_t, Frame> frames;
-  std::uint64_t extents_closed_full = 0;
-};
-
-inline void MappingTable::snapshot(StateImage& out) const {
-  out.map = map_;
-  out.mapped_count = mapped_count_;
-  out.volatile_entries = volatile_;
-  out.batches = batches_;
-  out.next_batch = next_batch_;
-  out.frames = frames_;
-  out.extents_closed_full = extents_closed_full_;
-}
-
-inline void MappingTable::restore(const StateImage& image) {
-  map_ = image.map;
-  mapped_count_ = image.mapped_count;
-  volatile_ = image.volatile_entries;
-  batches_ = image.batches;
-  next_batch_ = image.next_batch;
-  frames_ = image.frames;
-  extents_closed_full_ = image.extents_closed_full;
-}
 
 }  // namespace pofi::ftl

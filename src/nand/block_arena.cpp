@@ -156,31 +156,6 @@ void BlockArena::erase_block(Slot s) {
   flags_[s] &= static_cast<std::uint8_t>(~kFlagPartialErase);
 }
 
-void BlockArena::reset() {
-  // The index keeps its size (find() on an unmaterialised block reads a
-  // kNoSlot hole either way); touch() re-fills holes from here on.
-  std::fill(block_index_.begin(), block_index_.end(), kNoSlot);
-  slots_ = 0;
-  erase_count_.clear();
-  reads_since_erase_.clear();
-  programs_since_erase_.clear();
-  next_program_page_.clear();
-  flags_.clear();
-  lane_.clear();
-  upset_count_.clear();
-  progress_count_.clear();
-  overflow_count_.clear();
-  // Page-lane slabs stay allocated; ensure_lane resizes within capacity and
-  // scrubs each lane on binding, so stale bytes are unreachable.
-  free_lanes_.clear();
-  lanes_ = 0;
-  progress_.clear();
-  upsets_.clear();
-  content_overflow_.clear();
-  lpn_overflow_.clear();
-  seq_overflow_.clear();
-}
-
 Page BlockArena::snapshot(Slot s, std::uint32_t pib) const {
   Page pg;
   pg.status = status(s, pib);

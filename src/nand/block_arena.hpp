@@ -27,6 +27,11 @@
 // (journal tags ORed with a high marker, ~0 sentinels) divert to the
 // overflow side table via in-band markers. Decoding reproduces the original
 // u64 bit-for-bit in every case.
+//
+// The arena is a plain value: the owning die checkpoints it by copy (vector
+// and map assignment reuse the target's capacity, so warmed snapshots
+// allocate nothing) and resets it by assigning the empty arena it was built
+// with.
 #pragma once
 
 #include <cstddef>
@@ -46,6 +51,9 @@ class BlockArena {
   static constexpr Slot kNoSlot = ~Slot{0};
 
   BlockArena(const Geometry& geometry, std::uint32_t initial_pe_cycles);
+  /// An empty arena of no geometry: a placeholder for an image to be
+  /// assigned into.
+  BlockArena() = default;
 
   // --- Block lookup -------------------------------------------------------
   /// Materialise `b` on first touch (erase_count starts at the configured
@@ -139,92 +147,6 @@ class BlockArena {
   /// list. erase_count and the bad flag are the caller's business.
   void erase_block(Slot s);
 
-  /// Session reset: back to the just-constructed state (no touched blocks,
-  /// no lanes, empty side tables) while keeping every vector's capacity and
-  /// the slab storage. Lane bytes are left stale — ensure_lane scrubs each
-  /// lane to the erased state when it is next bound, exactly as it does for
-  /// recycled lanes.
-  void reset();
-
-  /// Full copyable state of the arena. Captured with bulk lane copies; the
-  /// image's containers are reused across capture cycles (vector/map
-  /// assignment keeps capacity/buckets), so warmed snapshots allocate
-  /// nothing.
-  struct StateImage {
-    std::vector<Slot> block_index;
-    std::size_t slots = 0;
-    std::vector<std::uint32_t> erase_count;
-    std::vector<std::uint32_t> reads_since_erase;
-    std::vector<std::uint32_t> programs_since_erase;
-    std::vector<std::uint32_t> next_program_page;
-    std::vector<std::uint8_t> flags;
-    std::vector<std::uint32_t> lane;
-    std::vector<std::uint32_t> upset_count;
-    std::vector<std::uint32_t> progress_count;
-    std::vector<std::uint32_t> overflow_count;
-    std::vector<std::uint64_t> status;
-    std::vector<std::uint32_t> content;
-    std::vector<std::uint32_t> oob_lpn;
-    std::vector<std::uint32_t> oob_seq;
-    std::vector<std::uint32_t> free_lanes;
-    std::uint32_t lanes = 0;
-    std::unordered_map<std::uint64_t, float> progress;
-    std::unordered_map<std::uint64_t, std::uint32_t> upsets;
-    std::unordered_map<std::uint64_t, std::uint64_t> content_overflow;
-    std::unordered_map<std::uint64_t, std::uint64_t> lpn_overflow;
-    std::unordered_map<std::uint64_t, std::uint64_t> seq_overflow;
-  };
-
-  void snapshot(StateImage& out) const {
-    out.block_index = block_index_;
-    out.slots = slots_;
-    out.erase_count = erase_count_;
-    out.reads_since_erase = reads_since_erase_;
-    out.programs_since_erase = programs_since_erase_;
-    out.next_program_page = next_program_page_;
-    out.flags = flags_;
-    out.lane = lane_;
-    out.upset_count = upset_count_;
-    out.progress_count = progress_count_;
-    out.overflow_count = overflow_count_;
-    out.status = status_;
-    out.content = content_;
-    out.oob_lpn = oob_lpn_;
-    out.oob_seq = oob_seq_;
-    out.free_lanes = free_lanes_;
-    out.lanes = lanes_;
-    out.progress = progress_;
-    out.upsets = upsets_;
-    out.content_overflow = content_overflow_;
-    out.lpn_overflow = lpn_overflow_;
-    out.seq_overflow = seq_overflow_;
-  }
-
-  void restore(const StateImage& image) {
-    block_index_ = image.block_index;
-    slots_ = image.slots;
-    erase_count_ = image.erase_count;
-    reads_since_erase_ = image.reads_since_erase;
-    programs_since_erase_ = image.programs_since_erase;
-    next_program_page_ = image.next_program_page;
-    flags_ = image.flags;
-    lane_ = image.lane;
-    upset_count_ = image.upset_count;
-    progress_count_ = image.progress_count;
-    overflow_count_ = image.overflow_count;
-    status_ = image.status;
-    content_ = image.content;
-    oob_lpn_ = image.oob_lpn;
-    oob_seq_ = image.oob_seq;
-    free_lanes_ = image.free_lanes;
-    lanes_ = image.lanes;
-    progress_ = image.progress;
-    upsets_ = image.upsets;
-    content_overflow_ = image.content_overflow;
-    lpn_overflow_ = image.lpn_overflow;
-    seq_overflow_ = image.seq_overflow;
-  }
-
  private:
   static constexpr std::uint32_t kNoLane = ~std::uint32_t{0};
   static constexpr std::uint8_t kFlagBad = 1;
@@ -261,10 +183,10 @@ class BlockArena {
   void write_payload(std::uint32_t lane, Slot s, std::uint32_t pib, std::uint64_t content,
                      Oob oob);
 
-  std::uint32_t pages_per_block_;
-  std::uint32_t words_per_lane_;  ///< 2-bit-packed status words per block
-  std::uint32_t initial_pe_cycles_;
-  std::uint64_t total_blocks_;  ///< geometry hint; the index can exceed it
+  std::uint32_t pages_per_block_ = 0;
+  std::uint32_t words_per_lane_ = 0;  ///< 2-bit-packed status words per block
+  std::uint32_t initial_pe_cycles_ = 0;
+  std::uint64_t total_blocks_ = 0;  ///< geometry hint; the index can exceed it
 
   std::vector<Slot> block_index_;  ///< BlockId -> Slot (kNoSlot holes)
   std::size_t slots_ = 0;

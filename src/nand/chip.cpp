@@ -17,9 +17,9 @@ NandChip::NandChip(sim::Simulator& simulator, Config config, std::string_view rn
       errors_(error_model_for(config.tech)),
       ecc_(make_ecc(config.ecc)),
       rng_label_(rng_label),
-      rng_(simulator.fork_rng(rng_label)),
-      planes_(config.geometry.planes),
-      arena_(config.geometry, config.initial_pe_cycles) {
+      planes_(config.geometry.planes) {
+  pristine_.arena = BlockArena(config_.geometry, config_.initial_pe_cycles);
+  reset();
   if (auto* m = sim_.metrics()) {
     obs_ispp_started_ = m->counter("nand.ispp.started");
     obs_ispp_interrupted_ = m->counter("nand.ispp.interrupted");
@@ -32,16 +32,17 @@ NandChip::NandChip(sim::Simulator& simulator, Config config, std::string_view rn
   }
 }
 
-void NandChip::reset() {
-  powered_ = false;
+void NandChip::clear_planes() {
   for (Plane& p : planes_) {
     p.busy.reset();
     p.queue.clear();
   }
-  arena_.reset();
-  peek_scratch_ = Page{};
-  stats_ = ChipStats{};
-  rng_ = sim_.fork_rng(rng_label_);
+}
+
+void NandChip::reset() {
+  state_ = pristine_;
+  state_.rng = sim_.fork_rng(rng_label_);
+  clear_planes();
 }
 
 double NandChip::wear_severity(BlockArena::Slot slot) const {
@@ -49,32 +50,32 @@ double NandChip::wear_severity(BlockArena::Slot slot) const {
   // interruption or paired-page upset lands more raw errors near end of
   // life. Superlinear in wear (distribution tails fatten late in life),
   // quadrupling the damage at the endurance limit.
-  const double ratio = static_cast<double>(arena_.erase_count(slot)) /
+  const double ratio = static_cast<double>(state_.arena.erase_count(slot)) /
                        std::max(1u, config_.endurance_pe_cycles);
   return 1.0 + 3.0 * ratio * ratio;
 }
 
 const Page* NandChip::peek(Ppn ppn) const {
-  const BlockArena::Slot slot = arena_.find(config_.geometry.block_of(ppn));
+  const BlockArena::Slot slot = state_.arena.find(config_.geometry.block_of(ppn));
   if (slot == BlockArena::kNoSlot) return nullptr;
-  peek_scratch_ = arena_.snapshot(slot, config_.geometry.page_in_block(ppn));
+  peek_scratch_ = state_.arena.snapshot(slot, config_.geometry.page_in_block(ppn));
   return &peek_scratch_;
 }
 
 std::uint32_t NandChip::erase_count(BlockId b) const {
-  const BlockArena::Slot slot = arena_.find(b);
-  return slot == BlockArena::kNoSlot ? 0 : arena_.erase_count(slot);
+  const BlockArena::Slot slot = state_.arena.find(b);
+  return slot == BlockArena::kNoSlot ? 0 : state_.arena.erase_count(slot);
 }
 
 bool NandChip::is_bad(BlockId b) const {
-  const BlockArena::Slot slot = arena_.find(b);
-  return slot != BlockArena::kNoSlot && arena_.bad(slot);
+  const BlockArena::Slot slot = state_.arena.find(b);
+  return slot != BlockArena::kNoSlot && state_.arena.bad(slot);
 }
 
 // ------------------------------------------------------------- submission
 
 void NandChip::read(Ppn ppn, ReadCallback cb) {
-  if (!powered_) {
+  if (!state_.powered) {
     cb(ReadResult{ReadResult::Status::kPowerLost, kErasedContent, 0, 0});
     return;
   }
@@ -88,7 +89,7 @@ void NandChip::read(Ppn ppn, ReadCallback cb) {
 }
 
 void NandChip::program(Ppn ppn, std::uint64_t content, Oob oob, OpCallback cb) {
-  if (!powered_) {
+  if (!state_.powered) {
     cb(OpResult{OpResult::Status::kPowerLost});
     return;
   }
@@ -106,7 +107,7 @@ void NandChip::program(Ppn ppn, std::uint64_t content, Oob oob, OpCallback cb) {
 }
 
 void NandChip::read_oob(Ppn ppn, OobCallback cb) {
-  if (!powered_) {
+  if (!state_.powered) {
     cb(OobResult{});
     return;
   }
@@ -120,7 +121,7 @@ void NandChip::read_oob(Ppn ppn, OobCallback cb) {
 }
 
 void NandChip::erase(BlockId block, OpCallback cb) {
-  if (!powered_) {
+  if (!state_.powered) {
     cb(OpResult{OpResult::Status::kPowerLost});
     return;
   }
@@ -141,7 +142,7 @@ void NandChip::enqueue(std::uint32_t plane_idx, InFlight op) {
 
 void NandChip::start_next(std::uint32_t plane_idx) {
   Plane& plane = planes_[plane_idx];
-  if (plane.busy.has_value() || plane.queue.empty() || !powered_) return;
+  if (plane.busy.has_value() || plane.queue.empty() || !state_.powered) return;
   plane.busy = plane.queue.pop_front();
   InFlight& op = *plane.busy;
   op.start = sim_.now();
@@ -166,44 +167,45 @@ void NandChip::complete(std::uint32_t plane_idx) {
 
 std::uint64_t NandChip::raw_errors_for(BlockArena::Slot slot, std::uint32_t pib) {
   const double bits = static_cast<double>(config_.geometry.page_bits());
-  const bool partially_erased = arena_.partially_erased(slot);
+  const bool partially_erased = state_.arena.partially_erased(slot);
   double ber = 0.0;
-  switch (arena_.status(slot, pib)) {
+  switch (state_.arena.status(slot, pib)) {
     case PageStatus::kErased:
       // A clean erased page has no errors to read; but inside a partially-
       // erased block even "erased" cells sit at unstable thresholds.
-      if (!partially_erased) return arena_.upset_errors(slot, pib);
+      if (!partially_erased) return state_.arena.upset_errors(slot, pib);
       break;  // fall through to the partially_erased bump below
     case PageStatus::kValid:
-      ber = errors_.base_ber + errors_.ber_per_pe_cycle * arena_.erase_count(slot) +
-            errors_.read_disturb_ber * arena_.reads_since_erase(slot) +
-            errors_.program_disturb_ber * arena_.programs_since_erase(slot);
+      ber = errors_.base_ber + errors_.ber_per_pe_cycle * state_.arena.erase_count(slot) +
+            errors_.read_disturb_ber * state_.arena.reads_since_erase(slot) +
+            errors_.program_disturb_ber * state_.arena.programs_since_erase(slot);
       break;
     case PageStatus::kPartial: {
-      const double incomplete = 1.0 - static_cast<double>(arena_.progress(slot, pib));
+      const double incomplete = 1.0 - static_cast<double>(state_.arena.progress(slot, pib));
       ber = 0.5 * std::pow(incomplete, errors_.interrupt_shape) * wear_severity(slot) +
             errors_.base_ber;
       break;
     }
     case PageStatus::kCorrupt:
       // Undefined cell states: a quarter of the bits read wrong.
-      return static_cast<std::uint64_t>(bits / 4.0) + arena_.upset_errors(slot, pib);
+      return static_cast<std::uint64_t>(bits / 4.0) + state_.arena.upset_errors(slot, pib);
   }
   if (partially_erased) ber += 0.05;  // unstable threshold voltages
   const double lambda = ber * bits;
-  return rng_.poisson(lambda) + arena_.upset_errors(slot, pib);
+  return state_.rng.poisson(lambda) + state_.arena.upset_errors(slot, pib);
 }
 
 ReadResult NandChip::read_through_ecc(Ppn ppn) {
-  const BlockArena::Slot slot = arena_.touch(config_.geometry.block_of(ppn));
+  const BlockArena::Slot slot = state_.arena.touch(config_.geometry.block_of(ppn));
   const std::uint32_t pib = config_.geometry.page_in_block(ppn);
-  arena_.bump_reads_since_erase(slot);
+  state_.arena.bump_reads_since_erase(slot);
 
   ReadResult result;
   result.raw_errors = raw_errors_for(slot, pib);
-  const DecodeOutcome out = ecc_->decode(config_.geometry.page_bits(), result.raw_errors, rng_);
+  const DecodeOutcome out =
+      ecc_->decode(config_.geometry.page_bits(), result.raw_errors, state_.rng);
   result.soft_retries = out.soft_retries;
-  const std::uint64_t content = arena_.content(slot, pib);
+  const std::uint64_t content = state_.arena.content(slot, pib);
   if (out.correctable) {
     result.status = ReadResult::Status::kOk;
     result.content = content;
@@ -211,7 +213,7 @@ ReadResult NandChip::read_through_ecc(Ppn ppn) {
     result.status = ReadResult::Status::kUncorrectable;
     // Deterministic garbage distinct from any allocated tag.
     result.content = content ^ (0x9e3779b97f4a7c15ULL * (result.raw_errors | 1ULL));
-    ++stats_.uncorrectable_reads;
+    ++state_.stats.uncorrectable_reads;
   }
   if (auto* m = sim_.metrics()) {
     m->add(obs_bit_errors_, result.raw_errors);
@@ -225,75 +227,75 @@ ReadResult NandChip::read_through_ecc(Ppn ppn) {
 }
 
 void NandChip::finish_read(InFlight& op) {
-  ++stats_.reads;
+  ++state_.stats.reads;
   ReadResult result = read_through_ecc(op.ppn);
   if (op.read_cb) op.read_cb(result);
 }
 
 void NandChip::finish_read_oob(InFlight& op) {
-  ++stats_.reads;
+  ++state_.stats.reads;
   // The spare area is covered by the same codewords as the data: its
   // readability shares the page's ECC fate.
   const ReadResult page = read_through_ecc(op.ppn);
   OobResult result;
   if (page.ok()) {
-    const BlockArena::Slot slot = arena_.find(op.block);
+    const BlockArena::Slot slot = state_.arena.find(op.block);
     const std::uint32_t pib = config_.geometry.page_in_block(op.ppn);
     if (slot != BlockArena::kNoSlot &&
-        arena_.status(slot, pib) != PageStatus::kErased) {
+        state_.arena.status(slot, pib) != PageStatus::kErased) {
       result.ok = true;
-      result.oob = arena_.oob(slot, pib);
+      result.oob = state_.arena.oob(slot, pib);
     }
   }
   if (op.oob_cb) op.oob_cb(result);
 }
 
 ReadResult NandChip::read_now(Ppn ppn) {
-  ++stats_.reads;
+  ++state_.stats.reads;
   return read_through_ecc(ppn);
 }
 
 void NandChip::finish_program(InFlight& op) {
-  const BlockArena::Slot slot = arena_.touch(op.block);
+  const BlockArena::Slot slot = state_.arena.touch(op.block);
   const std::uint32_t pib = config_.geometry.page_in_block(op.ppn);
-  if (arena_.bad(slot)) {
+  if (state_.arena.bad(slot)) {
     if (op.op_cb) op.op_cb(OpResult{OpResult::Status::kBadBlock});
     return;
   }
-  if (config_.enforce_program_order && pib != arena_.next_program_page(slot)) {
-    ++stats_.order_violations;
+  if (config_.enforce_program_order && pib != state_.arena.next_program_page(slot)) {
+    ++state_.stats.order_violations;
     if (op.op_cb) op.op_cb(OpResult{OpResult::Status::kOrderViolation});
     return;
   }
-  arena_.set_programmed(slot, pib, op.content, op.oob);
-  if (arena_.has_upsets(slot)) arena_.set_upset_errors(slot, pib, 0);
-  arena_.bump_programs_since_erase(slot);
-  arena_.set_next_program_page(slot, pib + 1);
-  ++stats_.programs;
+  state_.arena.set_programmed(slot, pib, op.content, op.oob);
+  if (state_.arena.has_upsets(slot)) state_.arena.set_upset_errors(slot, pib, 0);
+  state_.arena.bump_programs_since_erase(slot);
+  state_.arena.set_next_program_page(slot, pib + 1);
+  ++state_.stats.programs;
   if (op.op_cb) op.op_cb(OpResult{OpResult::Status::kOk});
 }
 
 void NandChip::finish_erase(InFlight& op) {
-  const BlockArena::Slot slot = arena_.touch(op.block);
-  if (arena_.erase_count(slot) >= config_.endurance_pe_cycles) {
-    arena_.set_bad(slot);
+  const BlockArena::Slot slot = state_.arena.touch(op.block);
+  if (state_.arena.erase_count(slot) >= config_.endurance_pe_cycles) {
+    state_.arena.set_bad(slot);
     if (auto* m = sim_.metrics()) m->add(obs_blocks_retired_);
     if (op.op_cb) op.op_cb(OpResult{OpResult::Status::kBadBlock});
     return;
   }
-  arena_.erase_block(slot);
-  arena_.set_erase_count(slot, arena_.erase_count(slot) + 1);
-  ++stats_.erases;
+  state_.arena.erase_block(slot);
+  state_.arena.set_erase_count(slot, state_.arena.erase_count(slot) + 1);
+  ++state_.stats.erases;
   if (op.op_cb) op.op_cb(OpResult{OpResult::Status::kOk});
 }
 
 // -------------------------------------------------------------- power loss
 
 void NandChip::on_power_lost() {
-  if (!powered_) return;
-  powered_ = false;
+  if (!state_.powered) return;
+  state_.powered = false;
   for (auto& plane : planes_) {
-    stats_.dropped_queued_ops += plane.queue.size();
+    state_.stats.dropped_queued_ops += plane.queue.size();
     plane.queue.clear();
     if (!plane.busy.has_value()) continue;
     InFlight& op = *plane.busy;
@@ -314,12 +316,12 @@ void NandChip::on_power_lost() {
   }
 }
 
-void NandChip::on_power_good() { powered_ = true; }
+void NandChip::on_power_good() { state_.powered = true; }
 
 void NandChip::interrupt_program(InFlight& op) {
-  ++stats_.interrupted_programs;
+  ++state_.stats.interrupted_programs;
   if (auto* m = sim_.metrics()) m->add(obs_ispp_interrupted_);
-  const BlockArena::Slot slot = arena_.touch(op.block);
+  const BlockArena::Slot slot = state_.arena.touch(op.block);
   const std::uint32_t pib = config_.geometry.page_in_block(op.ppn);
   const PageRole role = page_role(config_.tech, pib);
   const std::uint32_t steps = timing_.ispp_steps(role);
@@ -333,14 +335,14 @@ void NandChip::interrupt_program(InFlight& op) {
   if (progress >= 1.0) {
     // All pulses and the final verify finished; effectively a completed
     // program whose ACK never made it out of the die.
-    arena_.set_programmed(slot, pib, op.content, op.oob);
-    arena_.bump_programs_since_erase(slot);
-    arena_.set_next_program_page(slot, pib + 1);
+    state_.arena.set_programmed(slot, pib, op.content, op.oob);
+    state_.arena.bump_programs_since_erase(slot);
+    state_.arena.set_next_program_page(slot, pib + 1);
     return;
   }
-  arena_.set_partial(slot, pib, static_cast<float>(progress), op.content, op.oob);
-  arena_.bump_programs_since_erase(slot);
-  arena_.set_next_program_page(slot, pib + 1);  // the cursor burned this page either way
+  state_.arena.set_partial(slot, pib, static_cast<float>(progress), op.content, op.oob);
+  state_.arena.bump_programs_since_erase(slot);
+  state_.arena.set_next_program_page(slot, pib + 1);  // the cursor burned this page either way
 
   // Interrupting a later pass on a shared wordline shifts charge under the
   // partners that were already programmed and ACKed (the paper's corruption
@@ -353,48 +355,48 @@ void NandChip::interrupt_program(InFlight& op) {
 void NandChip::apply_paired_page_damage(BlockId block_id, std::uint32_t page_in_block,
                                         double severity) {
   if (errors_.paired_page_upset_ber <= 0.0) return;
-  const BlockArena::Slot slot = arena_.touch(block_id);
+  const BlockArena::Slot slot = state_.arena.touch(block_id);
   const std::uint32_t base = wordline_base(config_.tech, page_in_block);
   const double bits = static_cast<double>(config_.geometry.page_bits());
   const std::uint32_t pages_per_block = config_.geometry.pages_per_block;
   for (std::uint32_t p = base; p < page_in_block && p < pages_per_block; ++p) {
-    if (arena_.status(slot, p) != PageStatus::kValid) continue;
+    if (state_.arena.status(slot, p) != PageStatus::kValid) continue;
     const double lambda =
         errors_.paired_page_upset_ber * severity * wear_severity(slot) * bits;
-    const std::uint64_t upset = rng_.poisson(lambda);
+    const std::uint64_t upset = state_.rng.poisson(lambda);
     if (upset == 0) continue;
-    const std::uint32_t current = arena_.upset_errors(slot, p);
-    arena_.set_upset_errors(
+    const std::uint32_t current = state_.arena.upset_errors(slot, p);
+    state_.arena.set_upset_errors(
         slot, p,
         current + static_cast<std::uint32_t>(std::min<std::uint64_t>(
                       upset, std::numeric_limits<std::uint32_t>::max() - current)));
-    ++stats_.paired_page_upsets;
+    ++state_.stats.paired_page_upsets;
     if (auto* m = sim_.metrics()) m->add(obs_paired_upsets_);
   }
 }
 
 void NandChip::interrupt_erase(InFlight& op) {
-  ++stats_.interrupted_erases;
+  ++state_.stats.interrupted_erases;
   if (auto* m = sim_.metrics()) m->add(obs_erase_interrupted_);
-  const BlockArena::Slot slot = arena_.touch(op.block);
+  const BlockArena::Slot slot = state_.arena.touch(op.block);
   const double frac = std::clamp(
       (sim_.now() - op.start).to_sec() / std::max(1e-12, op.duration.to_sec()), 0.0, 1.0);
   if (frac >= 1.0) {
     // Completed under dying power; treat as a normal erase.
-    arena_.erase_block(slot);
-    arena_.set_erase_count(slot, arena_.erase_count(slot) + 1);
+    state_.arena.erase_block(slot);
+    state_.arena.set_erase_count(slot, state_.arena.erase_count(slot) + 1);
     return;
   }
   // Cells are somewhere between their old states and erased: every page that
   // held data is now undefined, and the whole block reads unstably until a
   // clean erase completes.
   for (std::uint32_t p = 0; p < config_.geometry.pages_per_block; ++p) {
-    const PageStatus st = arena_.status(slot, p);
+    const PageStatus st = state_.arena.status(slot, p);
     if (st == PageStatus::kValid || st == PageStatus::kPartial) {
-      arena_.corrupt_page(slot, p);
+      state_.arena.corrupt_page(slot, p);
     }
   }
-  arena_.set_partially_erased(slot);
+  state_.arena.set_partially_erased(slot);
 }
 
 }  // namespace pofi::nand

@@ -109,7 +109,7 @@ class NandChip {
   void on_power_lost();
   /// Rail restored; the die is usable again (persistent state kept).
   void on_power_good();
-  [[nodiscard]] bool powered() const { return powered_; }
+  [[nodiscard]] bool powered() const { return state_.powered; }
 
   /// Session reset: back to a factory-fresh, unpowered die with the arena's
   /// slabs retained. Precondition: the simulator's event queue has already
@@ -126,39 +126,27 @@ class NandChip {
     return true;
   }
 
-  /// Copyable die state at a quiescent boundary: persistent arena contents,
-  /// RNG position, power flag and statistics. Plane queues are empty by the
-  /// quiescence precondition and are not captured; restore() clears them so
-  /// a dirty (post-crash) die can be rewound.
+  /// Die state: persistent arena contents, RNG position, power flag and
+  /// statistics. Plane queues are empty by the quiescence precondition and
+  /// are not captured; restore() clears them so a dirty (post-crash) die can
+  /// be rewound.
   struct StateImage {
-    std::array<std::uint64_t, 4> rng_state{};
+    sim::Rng rng;
     bool powered = false;
-    BlockArena::StateImage arena;
+    BlockArena arena;
     ChipStats stats;
   };
 
-  void snapshot(StateImage& out) const {
-    out.rng_state = rng_.state();
-    out.powered = powered_;
-    arena_.snapshot(out.arena);
-    out.stats = stats_;
-  }
-
+  void snapshot(StateImage& out) const { out = state_; }
   void restore(const StateImage& image) {
-    rng_.set_state(image.rng_state);
-    powered_ = image.powered;
-    for (Plane& p : planes_) {
-      p.busy.reset();
-      p.queue.clear();
-    }
-    arena_.restore(image.arena);
-    stats_ = image.stats;
+    state_ = image;
+    clear_planes();
   }
 
   // --- Inspection (tests, analyzer ground-truthing) ------------------------
   [[nodiscard]] const Config& config() const { return config_; }
   [[nodiscard]] const Geometry& geometry() const { return config_.geometry; }
-  [[nodiscard]] const ChipStats& stats() const { return stats_; }
+  [[nodiscard]] const ChipStats& stats() const { return state_.stats; }
   [[nodiscard]] const EccScheme& ecc() const { return *ecc_; }
 
   /// Direct page peek without timing or ECC (ground truth for tests). The
@@ -173,7 +161,7 @@ class NandChip {
   [[nodiscard]] std::uint32_t erase_count(BlockId b) const;
   [[nodiscard]] bool is_bad(BlockId b) const;
   /// Number of materialised (touched) blocks.
-  [[nodiscard]] std::size_t touched_blocks() const { return arena_.touched_blocks(); }
+  [[nodiscard]] std::size_t touched_blocks() const { return state_.arena.touched_blocks(); }
 
  private:
   struct InFlight {
@@ -195,6 +183,8 @@ class NandChip {
   };
 
   [[nodiscard]] double wear_severity(BlockArena::Slot slot) const;
+  /// Drop every in-flight and queued op (their events are gone).
+  void clear_planes();
 
   void enqueue(std::uint32_t plane_idx, InFlight op);
   void start_next(std::uint32_t plane_idx);
@@ -219,12 +209,10 @@ class NandChip {
   ErrorModel errors_;
   std::unique_ptr<EccScheme> ecc_;
   std::string rng_label_;  ///< kept so reset() re-forks the same stream
-  sim::Rng rng_;
-  bool powered_ = false;
+  StateImage pristine_;  ///< set once by the constructor; see sim/state_image.hpp
+  StateImage state_;
   std::vector<Plane> planes_;
-  BlockArena arena_;
   mutable Page peek_scratch_;  ///< snapshot slot backing peek()
-  ChipStats stats_;
 
   // Observability handles (no-ops unless a registry is attached to sim_).
   // Registration is name-deduped, so the dies of a ChipArray aggregate.

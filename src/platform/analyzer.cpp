@@ -11,24 +11,24 @@ Analyzer::Analyzer(sim::Simulator& simulator, blk::BlockQueue& queue, ShadowStor
 
 void Analyzer::note_acked_write(workload::DataPacket packet) {
   packet.modified = true;
-  pending_.push_back(std::move(packet));
+  state_.pending.push_back(std::move(packet));
 }
 
 void Analyzer::note_io_error(const workload::DataPacket& packet) {
-  ++counters_.io_errors;
+  ++state_.counters.io_errors;
   FailureRecord rec;
   rec.packet_id = packet.packet_id;
   rec.type = FailureType::kIoError;
-  rec.fault_index = fault_index_;
+  rec.fault_index = state_.fault_index;
   rec.op = packet.op;
-  failures_.push_back(rec);
+  state_.failures.push_back(rec);
 }
 
 void Analyzer::note_read_result(const workload::DataPacket& packet,
                                 std::span<const std::uint64_t> observed) {
   for (std::size_t i = 0; i < observed.size(); ++i) {
     if (!shadow_.acceptable(packet.address + i, observed[i])) {
-      ++counters_.read_mismatches;
+      ++state_.counters.read_mismatches;
       return;
     }
   }
@@ -36,8 +36,8 @@ void Analyzer::note_read_result(const workload::DataPacket& packet,
 
 void Analyzer::verify_pending(sim::TimePoint fault_time, std::uint32_t fault_index,
                               std::function<void()> done) {
-  fault_time_ = fault_time;
-  fault_index_ = fault_index;
+  state_.fault_time = fault_time;
+  state_.fault_index = fault_index;
   done_ = std::move(done);
   verifying_ = true;
   verify_next();
@@ -46,8 +46,8 @@ void Analyzer::verify_pending(sim::TimePoint fault_time, std::uint32_t fault_ind
 void Analyzer::verify_next() {
   // Skip packets that were superseded by later ACKed writes: their payload
   // is legitimately gone and cannot be verified any more.
-  while (!pending_.empty()) {
-    const workload::DataPacket& p = pending_.front();
+  while (!state_.pending.empty()) {
+    const workload::DataPacket& p = state_.pending.front();
     bool superseded = false;
     for (std::size_t i = 0; i < p.page_tags.size(); ++i) {
       if (shadow_.expected(p.address + i) != p.page_tags[i]) {
@@ -56,11 +56,11 @@ void Analyzer::verify_next() {
       }
     }
     if (!superseded) break;
-    ++counters_.superseded_skipped;
-    pending_.pop_front();
+    ++state_.counters.superseded_skipped;
+    state_.pending.pop_front();
   }
 
-  if (pending_.empty()) {
+  if (state_.pending.empty()) {
     verifying_ = false;
     if (done_) {
       auto cb = std::move(done_);
@@ -70,8 +70,8 @@ void Analyzer::verify_next() {
     return;
   }
 
-  workload::DataPacket packet = std::move(pending_.front());
-  pending_.pop_front();
+  workload::DataPacket packet = std::move(state_.pending.front());
+  state_.pending.pop_front();
   queue_.submit_read(
       packet.address, packet.size_pages,
       [this, packet = std::move(packet)](blk::RequestOutcome out) {
@@ -105,34 +105,34 @@ void Analyzer::classify(const workload::DataPacket& packet,
     shadow_.observe(packet.address + i, seen);
   }
 
-  const double delta_ms = (fault_time_ - packet.complete_time).to_ms();
+  const double delta_ms = (state_.fault_time - packet.complete_time).to_ms();
   // Request-level classification, as the paper's checksum triple does it:
   // the read-back checksum equals the payload (ok), equals the pre-request
   // contents (FWA / notApplied), or equals neither — including *partially
   // applied* requests — which is a data failure.
   if (garbage > 0 || (reverted > 0 && intact > 0)) {
-    ++counters_.data_failures;
+    ++state_.counters.data_failures;
     FailureRecord rec;
     rec.packet_id = packet.packet_id;
     rec.type = FailureType::kDataFailure;
-    rec.fault_index = fault_index_;
+    rec.fault_index = state_.fault_index;
     rec.ack_to_fault_ms = delta_ms;
     rec.pages_garbage = garbage;
     rec.pages_reverted = reverted;
     rec.op = packet.op;
-    failures_.push_back(rec);
+    state_.failures.push_back(rec);
   } else if (reverted > 0) {
-    ++counters_.fwa_failures;
+    ++state_.counters.fwa_failures;
     FailureRecord rec;
     rec.packet_id = packet.packet_id;
     rec.type = FailureType::kFwa;
-    rec.fault_index = fault_index_;
+    rec.fault_index = state_.fault_index;
     rec.ack_to_fault_ms = delta_ms;
     rec.pages_reverted = reverted;
     rec.op = packet.op;
-    failures_.push_back(rec);
+    state_.failures.push_back(rec);
   } else {
-    ++counters_.verified_ok;
+    ++state_.counters.verified_ok;
   }
 }
 

@@ -76,47 +76,32 @@ class Analyzer {
                       std::function<void()> done);
   [[nodiscard]] bool verification_running() const { return verifying_; }
 
-  [[nodiscard]] const AnalyzerCounters& counters() const { return counters_; }
-  [[nodiscard]] const std::vector<FailureRecord>& failures() const { return failures_; }
-  [[nodiscard]] std::size_t pending_packets() const { return pending_.size(); }
-
-  /// Session reset: drop pending packets, verification state, counters and
-  /// the failure log; container capacities are retained.
-  void reset() {
-    pending_.clear();
-    verifying_ = false;
-    fault_time_ = sim::TimePoint{};
-    fault_index_ = 0;
-    done_ = nullptr;
-    counters_ = AnalyzerCounters{};
-    failures_.clear();
-  }
+  [[nodiscard]] const AnalyzerCounters& counters() const { return state_.counters; }
+  [[nodiscard]] const std::vector<FailureRecord>& failures() const { return state_.failures; }
+  [[nodiscard]] std::size_t pending_packets() const { return state_.pending.size(); }
 
   /// Snapshot precondition: no verification pass in flight.
   [[nodiscard]] bool quiescent() const { return !verifying_; }
 
   struct StateImage {
-    std::deque<workload::DataPacket> pending;
+    std::deque<workload::DataPacket> pending;  ///< ACKed, not yet verified
     sim::TimePoint fault_time;
     std::uint32_t fault_index = 0;
     AnalyzerCounters counters;
     std::vector<FailureRecord> failures;
   };
-  void snapshot(StateImage& out) const {
-    out.pending = pending_;
-    out.fault_time = fault_time_;
-    out.fault_index = fault_index_;
-    out.counters = counters_;
-    out.failures = failures_;
-  }
+  void snapshot(StateImage& out) const { out = state_; }
   void restore(const StateImage& image) {
-    pending_ = image.pending;
+    state_ = image;
     verifying_ = false;
-    fault_time_ = image.fault_time;
-    fault_index_ = image.fault_index;
     done_ = nullptr;
-    counters_ = image.counters;
-    failures_ = image.failures;
+  }
+  /// Session reset: drop pending packets, verification state, counters and
+  /// the failure log; container capacities are retained.
+  void reset() {
+    state_ = pristine_;
+    verifying_ = false;
+    done_ = nullptr;
   }
 
  private:
@@ -127,14 +112,10 @@ class Analyzer {
   blk::BlockQueue& queue_;
   ShadowStore& shadow_;
 
-  std::deque<workload::DataPacket> pending_;
+  StateImage state_;
+  const StateImage pristine_;  ///< see sim/state_image.hpp
   bool verifying_ = false;
-  sim::TimePoint fault_time_;
-  std::uint32_t fault_index_ = 0;
   std::function<void()> done_;
-
-  AnalyzerCounters counters_;
-  std::vector<FailureRecord> failures_;
 };
 
 }  // namespace pofi::platform

@@ -18,7 +18,7 @@ class FaultScheduler {
  public:
   FaultScheduler(sim::Simulator& simulator, psu::ArduinoBridge& bridge,
                  psu::PowerSupply& supply, sim::Rng rng)
-      : sim_(simulator), bridge_(bridge), supply_(supply), rng_(rng) {}
+      : sim_(simulator), bridge_(bridge), supply_(supply), state_{.rng = rng} {}
 
   FaultScheduler(const FaultScheduler&) = delete;
   FaultScheduler& operator=(const FaultScheduler&) = delete;
@@ -27,7 +27,7 @@ class FaultScheduler {
   /// [0, jitter] from now. Returns the scheduled command instant.
   sim::TimePoint arm_fault(sim::Duration jitter) {
     const std::int64_t max_ns = jitter.count_ns() > 0 ? jitter.count_ns() : 1;
-    const auto delay = sim::Duration::ns(rng_.range(0, max_ns));
+    const auto delay = sim::Duration::ns(state_.rng.range(0, max_ns));
     const sim::TimePoint at = sim_.now() + delay;
     sim_.at(at, [this] { command_off(); });
     return at;
@@ -35,7 +35,7 @@ class FaultScheduler {
 
   /// Send the Off command immediately (fixed-delay §IV-A campaigns).
   void command_off() {
-    ++faults_commanded_;
+    ++state_.faults_commanded;
     bridge_.send(psu::PowerCommand::kOff);
   }
 
@@ -54,34 +54,23 @@ class FaultScheduler {
   /// Instant the current/most recent discharge began (the injected fault).
   [[nodiscard]] sim::TimePoint last_fault_at() const { return supply_.last_off_at(); }
 
-  [[nodiscard]] std::uint32_t faults_commanded() const { return faults_commanded_; }
-
-  /// Session reset: counter rewinds and the fault-timing RNG stream is
-  /// replaced (the owner re-forks it from the reseeded master).
-  void reset(sim::Rng rng) {
-    rng_ = rng;
-    faults_commanded_ = 0;
-  }
+  [[nodiscard]] std::uint32_t faults_commanded() const { return state_.faults_commanded; }
 
   struct StateImage {
-    std::array<std::uint64_t, 4> rng_state{};
+    sim::Rng rng;  ///< fault timing
     std::uint32_t faults_commanded = 0;
   };
-  void snapshot(StateImage& out) const {
-    out.rng_state = rng_.state();
-    out.faults_commanded = faults_commanded_;
-  }
-  void restore(const StateImage& image) {
-    rng_.set_state(image.rng_state);
-    faults_commanded_ = image.faults_commanded;
-  }
+  void snapshot(StateImage& out) const { out = state_; }
+  void restore(const StateImage& image) { state_ = image; }
+  /// Session reset: counter rewinds and the fault-timing RNG stream is
+  /// replaced (the owner re-forks it from the reseeded master).
+  void reset(sim::Rng rng) { state_ = StateImage{.rng = rng}; }
 
  private:
   sim::Simulator& sim_;
   psu::ArduinoBridge& bridge_;
   psu::PowerSupply& supply_;
-  sim::Rng rng_;
-  std::uint32_t faults_commanded_ = 0;
+  StateImage state_;
 };
 
 }  // namespace pofi::platform

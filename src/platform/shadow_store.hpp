@@ -68,13 +68,8 @@ class ShadowStore {
   }
 
   /// Session reset: forget all truth and restart tag allocation from 1,
-  /// keeping every capacity.
-  void reset() {
-    state_.pages.clear();
-    state_.alternates.clear();
-    state_.tracked = 0;
-    state_.next_tag = 1;
-  }
+  /// keeping the page directory's and pool's capacity.
+  void reset() { state_ = pristine_; }
 
  private:
   /// One directory chunk: 64 pages' expected tags plus their flag bits.
@@ -106,6 +101,7 @@ class ShadowStore {
   void settle(Chunk& c, ftl::Lpn lpn);
 
   StateImage state_;
+  const StateImage pristine_;  ///< see sim/state_image.hpp
 };
 
 }  // namespace pofi::platform

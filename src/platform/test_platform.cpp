@@ -18,7 +18,7 @@ TestPlatform::TestPlatform(ssd::SsdConfig ssd_config, PlatformConfig platform_co
     : sim_(seed),
       ssd_config_(std::move(ssd_config)),
       config_(platform_config),
-      rng_(sim_.fork_rng("platform")) {
+      run_{.rng = sim_.fork_rng("platform")} {
   sim_.set_step_limit(config_.max_sim_events);
   sim_.set_cancel_token(config_.cancel);
   if (config_.metrics) {
@@ -58,7 +58,6 @@ void TestPlatform::reset(const PlatformConfig& platform_config, std::uint64_t se
   sim_.set_step_limit(config_.max_sim_events);
   sim_.set_cancel_token(config_.cancel);
   if (metrics_) metrics_->reset_values();
-  rng_ = sim_.fork_rng("platform");
   psu_->reset();
   atx_->reset();
   bridge_->reset();
@@ -69,7 +68,7 @@ void TestPlatform::reset(const PlatformConfig& platform_config, std::uint64_t se
   analyzer_->reset();
   scheduler_->reset(sim_.fork_rng("scheduler"));
   // generator_ adopts the next run()'s workload in place.
-  run_ = RunState{};
+  run_ = RunState{.rng = sim_.fork_rng("platform")};
 }
 
 void TestPlatform::snapshot(StateImage& out) const {
@@ -83,8 +82,6 @@ void TestPlatform::snapshot(StateImage& out) const {
   shadow_.snapshot(out.shadow);
   analyzer_->snapshot(out.analyzer);
   scheduler_->snapshot(out.scheduler);
-  out.platform_rng = rng_.state();
-  out.has_metrics = metrics_ != nullptr;
   if (metrics_) metrics_->snapshot_values(out.metrics);
   out.run = run_;
 }
@@ -96,7 +93,6 @@ void TestPlatform::restore(const StateImage& image, sim::TimerRearmer& rearm) {
   sim_.set_step_limit(config_.max_sim_events);
   sim_.set_cancel_token(config_.cancel);
   if (metrics_) metrics_->restore_values(image.metrics);
-  rng_.set_state(image.platform_rng);
   psu_->restore(image.psu);
   atx_->restore(image.atx);
   bridge_->restore(image.bridge);
@@ -144,7 +140,7 @@ void TestPlatform::open_loop_step(double mean_gap_sec) {
   if (run_.cycle_requests < run_.cycle_budget) {
     submit_one(generator_->next());
   }
-  sim_.after(sim::Duration::sec_f(rng_.exponential(mean_gap_sec)),
+  sim_.after(sim::Duration::sec_f(run_.rng.exponential(mean_gap_sec)),
              [this, mean_gap_sec] { open_loop_step(mean_gap_sec); });
 }
 

@@ -98,9 +98,10 @@ class TestPlatform {
            analyzer_->quiescent();
   }
 
-  /// The campaign loop's scalar run state, kept as one value so reset(),
+  /// The campaign loop's own state, kept as one value so reset(),
   /// snapshot() and restore() each handle it in a single assignment.
   struct RunState {
+    sim::Rng rng;  ///< open-loop inter-arrival gaps
     bool io_active = false;
     bool ran = false;
     bool open_loop_mode = true;
@@ -114,9 +115,10 @@ class TestPlatform {
     std::uint32_t fault_index = 0;
   };
 
-  /// Copyable whole-stack state at a quiescent boundary. The lazily-built
-  /// workload generator is the campaign driver's, not the torture path's —
-  /// the crash harness owns its own generator and images it itself.
+  /// Whole-stack state at a quiescent boundary: one image per component. The
+  /// lazily-built workload generator is the campaign driver's, not the
+  /// torture path's — the crash harness owns its own generator and images it
+  /// itself.
   struct StateImage {
     sim::SimulatorImage sim;
     psu::PowerSupply::StateImage psu;
@@ -127,9 +129,7 @@ class TestPlatform {
     ShadowStore::StateImage shadow;
     Analyzer::StateImage analyzer;
     FaultScheduler::StateImage scheduler;
-    std::array<std::uint64_t, 4> platform_rng{};
-    bool has_metrics = false;
-    obs::MetricRegistry::ValueImage metrics;
+    obs::MetricRegistry::ValueImage metrics;  ///< empty without a registry
     RunState run;
   };
 
@@ -182,7 +182,6 @@ class TestPlatform {
   std::unique_ptr<Analyzer> analyzer_;
   std::unique_ptr<FaultScheduler> scheduler_;
   std::unique_ptr<workload::WorkloadGenerator> generator_;
-  sim::Rng rng_;
   RunState run_;
 };
 

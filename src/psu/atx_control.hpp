@@ -23,7 +23,7 @@ class AtxController {
 
   /// Drive pin 16. `high` == +5 V == rail off (active low).
   void set_ps_on_pin(bool high) {
-    pin16_high_ = high;
+    state_.pin16_high = high;
     if (high) {
       supply_.power_off();
     } else {
@@ -31,20 +31,19 @@ class AtxController {
     }
   }
 
-  [[nodiscard]] bool pin16_high() const { return pin16_high_; }
-
-  /// Session reset: pin back to its power-up (rail off) level.
-  void reset() { pin16_high_ = true; }
+  [[nodiscard]] bool pin16_high() const { return state_.pin16_high; }
 
   struct StateImage {
-    bool pin16_high = true;
+    bool pin16_high = true;  // boards power up with the rail off
   };
-  void snapshot(StateImage& out) const { out.pin16_high = pin16_high_; }
-  void restore(const StateImage& image) { pin16_high_ = image.pin16_high; }
+  void snapshot(StateImage& out) const { out = state_; }
+  void restore(const StateImage& image) { state_ = image; }
+  /// Session reset: pin back to its power-up (rail off) level.
+  void reset() { state_ = StateImage{}; }
 
  private:
   PowerSupply& supply_;
-  bool pin16_high_ = true;  // boards power up with the rail off
+  StateImage state_;
 };
 
 /// One-byte On/Off command protocol over the Arduino's USB serial link.
@@ -64,7 +63,10 @@ class ArduinoBridge {
   };
 
   ArduinoBridge(sim::Simulator& simulator, AtxController& atx, Params params)
-      : sim_(simulator), atx_(atx), params_(params), rng_(simulator.fork_rng("arduino")) {}
+      : sim_(simulator),
+        atx_(atx),
+        params_(params),
+        state_{.rng = simulator.fork_rng("arduino")} {}
   // Out-of-line: GCC 12 in-class delegation NSDMI bug.
   ArduinoBridge(sim::Simulator& simulator, AtxController& atx);
 
@@ -73,46 +75,35 @@ class ArduinoBridge {
     sim::Duration delay = params_.command_latency;
     if (!params_.jitter.is_zero()) {
       const auto j = params_.jitter.count_ns();
-      delay += sim::Duration::ns(rng_.range(-j, j));
+      delay += sim::Duration::ns(state_.rng.range(-j, j));
     }
     if (delay.is_negative()) delay = sim::Duration::zero();
-    ++commands_sent_;
+    ++state_.commands_sent;
     sim_.after(delay, [this, cmd] {
       // Firmware maps '0' -> pin13 high -> pin16 high -> rail off.
       atx_.set_ps_on_pin(cmd == PowerCommand::kOff);
     });
   }
 
-  [[nodiscard]] std::uint64_t commands_sent() const { return commands_sent_; }
-
-  /// Session reset: counter rewinds, RNG stream re-forked from the
-  /// (reseeded) master under the construction-time label.
-  void reset() {
-    commands_sent_ = 0;
-    rng_ = sim_.fork_rng("arduino");
-  }
+  [[nodiscard]] std::uint64_t commands_sent() const { return state_.commands_sent; }
 
   /// In-flight link commands are events, absent at quiescence; only the
   /// jitter RNG position and the counter are state.
   struct StateImage {
-    std::array<std::uint64_t, 4> rng_state{};
+    sim::Rng rng;
     std::uint64_t commands_sent = 0;
   };
-  void snapshot(StateImage& out) const {
-    out.rng_state = rng_.state();
-    out.commands_sent = commands_sent_;
-  }
-  void restore(const StateImage& image) {
-    rng_.set_state(image.rng_state);
-    commands_sent_ = image.commands_sent;
-  }
+  void snapshot(StateImage& out) const { out = state_; }
+  void restore(const StateImage& image) { state_ = image; }
+  /// Session reset: counter rewinds, RNG stream re-forked from the
+  /// (reseeded) master under the construction-time label.
+  void reset() { state_ = StateImage{.rng = sim_.fork_rng("arduino")}; }
 
  private:
   sim::Simulator& sim_;
   AtxController& atx_;
   Params params_;
-  sim::Rng rng_;
-  std::uint64_t commands_sent_ = 0;
+  StateImage state_;
 };
 
 }  // namespace pofi::psu

@@ -27,7 +27,7 @@ PowerSupply::PowerSupply(sim::Simulator& simulator, std::unique_ptr<DischargeMod
 
 void PowerSupply::attach(PowerSink& sink) {
   sinks_.push_back(&sink);
-  if (state_ == State::kOn) sink.on_power_good(sim_.now());
+  if (state_.rail == State::kOn) sink.on_power_good(sim_.now());
 }
 
 double PowerSupply::total_load_amps() const {
@@ -37,15 +37,16 @@ double PowerSupply::total_load_amps() const {
 }
 
 double PowerSupply::voltage() const {
-  switch (state_) {
+  switch (state_.rail) {
     case State::kOff: return 0.0;
     case State::kOn: return params_.nominal_volts;
     case State::kDischarging:
-      return model_->voltage(sim_.now() - phase_start_, total_load_amps());
+      return model_->voltage(sim_.now() - state_.phase_start, total_load_amps());
     case State::kCharging: {
-      const double f = std::min(1.0, (sim_.now() - phase_start_).to_sec() /
+      const double f = std::min(1.0, (sim_.now() - state_.phase_start).to_sec() /
                                          std::max(1e-9, params_.rise_time.to_sec()));
-      return charge_start_volts_ + (params_.nominal_volts - charge_start_volts_) * f;
+      const double from = state_.charge_start_volts;
+      return from + (params_.nominal_volts - from) * f;
     }
   }
   return 0.0;
@@ -57,37 +58,37 @@ void PowerSupply::cancel_pending() {
 }
 
 void PowerSupply::power_on() {
-  if (state_ == State::kOn || state_ == State::kCharging) return;
-  charge_start_volts_ = voltage();
+  if (state_.rail == State::kOn || state_.rail == State::kCharging) return;
+  state_.charge_start_volts = voltage();
   cancel_pending();
-  state_ = State::kCharging;
-  phase_start_ = sim_.now();
-  POFI_DEBUG(sim_.now(), "psu", "power_on (from %.2fV)", charge_start_volts_);
-  obs_sample_rail(charge_start_volts_);
+  state_.rail = State::kCharging;
+  state_.phase_start = sim_.now();
+  POFI_DEBUG(sim_.now(), "psu", "power_on (from %.2fV)", state_.charge_start_volts);
+  obs_sample_rail(state_.charge_start_volts);
   pending_.push_back(sim_.after(params_.rise_time, [this] {
-    state_ = State::kOn;
+    state_.rail = State::kOn;
     pending_.clear();
     obs_sample_rail(params_.nominal_volts);
-    if (obs_below_active_) {
+    if (state_.obs_below_active) {
       // Time the rail spent below the (lowest) sink cutoff, ended by this
       // power-good: the paper's unavailability window.
       if (auto* m = sim_.metrics()) {
         m->add(obs_below_cutoff_ns_,
-               static_cast<std::uint64_t>((sim_.now() - obs_below_since_).count_ns()));
+               static_cast<std::uint64_t>((sim_.now() - state_.obs_below_since).count_ns()));
       }
-      obs_below_active_ = false;
+      state_.obs_below_active = false;
     }
     for (auto* s : sinks_) s->on_power_good(sim_.now());
   }));
 }
 
 void PowerSupply::power_off() {
-  if (state_ == State::kOff || state_ == State::kDischarging) return;
+  if (state_.rail == State::kOff || state_.rail == State::kDischarging) return;
   cancel_pending();
-  state_ = State::kDischarging;
-  phase_start_ = sim_.now();
-  last_off_at_ = sim_.now();
-  ++cycles_;
+  state_.rail = State::kDischarging;
+  state_.phase_start = sim_.now();
+  state_.last_off_at = sim_.now();
+  ++state_.cycles;
   POFI_DEBUG(sim_.now(), "psu", "power_off; discharge begins");
   obs_sample_rail(voltage());
   schedule_discharge_events();
@@ -109,16 +110,16 @@ void PowerSupply::schedule_discharge_events() {
     const auto t_dead = model_->time_to_voltage(s->cutoff_volts(), load);
     pending_.push_back(sim_.after(t_dead, [this, s] {
       obs_sample_rail(s->cutoff_volts());
-      if (!obs_below_active_) {
-        obs_below_active_ = true;
-        obs_below_since_ = sim_.now();
+      if (!state_.obs_below_active) {
+        state_.obs_below_active = true;
+        state_.obs_below_since = sim_.now();
       }
       s->on_power_lost(sim_.now());
     }));
   }
   const auto t_zero = model_->full_discharge_time(load);
   pending_.push_back(sim_.after(t_zero, [this] {
-    state_ = State::kOff;
+    state_.rail = State::kOff;
     pending_.clear();
     obs_sample_rail(0.0);
     POFI_DEBUG(sim_.now(), "psu", "rail fully discharged");

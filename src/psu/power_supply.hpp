@@ -70,8 +70,8 @@ class PowerSupply {
   /// Deassert PS_ON: rail enters the discharge phase. No-op when off.
   void power_off();
 
-  [[nodiscard]] State state() const { return state_; }
-  [[nodiscard]] bool rail_up() const { return state_ == State::kOn; }
+  [[nodiscard]] State state() const { return state_.rail; }
+  [[nodiscard]] bool rail_up() const { return state_.rail == State::kOn; }
 
   /// Instantaneous rail voltage.
   [[nodiscard]] double voltage() const;
@@ -88,62 +88,42 @@ class PowerSupply {
   }
 
   /// Number of completed off transitions (fault injections served).
-  [[nodiscard]] std::uint64_t cycles() const { return cycles_; }
+  [[nodiscard]] std::uint64_t cycles() const { return state_.cycles; }
 
   /// Instant the most recent discharge began (PS_ON deasserted).
-  [[nodiscard]] sim::TimePoint last_off_at() const { return last_off_at_; }
+  [[nodiscard]] sim::TimePoint last_off_at() const { return state_.last_off_at; }
 
   /// Snapshot precondition: rail steady at nominal, no threshold-crossing
   /// events scheduled (pending_ is cleared by the power-good callback).
-  [[nodiscard]] bool quiescent() const { return state_ == State::kOn && pending_.empty(); }
+  [[nodiscard]] bool quiescent() const { return state_.rail == State::kOn && pending_.empty(); }
 
-  /// Copyable rail state at a quiescent boundary. Attached sinks are wiring,
-  /// not state, exactly as in reset(); pending events are empty by the
-  /// precondition and cleared by restore() on a dirty supply.
+  /// Rail state and counters. Attached sinks are wiring, not state; pending
+  /// events are empty at a quiescent boundary and cleared by restore() on a
+  /// dirty supply.
   struct StateImage {
-    State state = State::kOff;
+    State rail = State::kOff;
     sim::TimePoint phase_start = sim::TimePoint::zero();
     double charge_start_volts = 0.0;
     std::uint64_t cycles = 0;
     sim::TimePoint last_off_at = sim::TimePoint::zero();
+    // Obs-private bookkeeping: never read by the simulation itself.
     bool obs_below_active = false;
     sim::TimePoint obs_below_since = sim::TimePoint::zero();
   };
 
-  void snapshot(StateImage& out) const {
-    out.state = state_;
-    out.phase_start = phase_start_;
-    out.charge_start_volts = charge_start_volts_;
-    out.cycles = cycles_;
-    out.last_off_at = last_off_at_;
-    out.obs_below_active = obs_below_active_;
-    out.obs_below_since = obs_below_since_;
-  }
-
+  void snapshot(StateImage& out) const { out = state_; }
   void restore(const StateImage& image) {
-    state_ = image.state;
-    phase_start_ = image.phase_start;
-    charge_start_volts_ = image.charge_start_volts;
+    state_ = image;
     pending_.clear();
-    cycles_ = image.cycles;
-    last_off_at_ = image.last_off_at;
-    obs_below_active_ = image.obs_below_active;
-    obs_below_since_ = image.obs_below_since;
   }
 
   /// Session reset: back to the just-constructed kOff state. Attached sinks
-  /// are deliberately KEPT — the pooled stack's wiring survives the reset;
-  /// only rail state and counters rewind. Precondition: simulator events
-  /// drained (the pending_ ids are stale by then, so they are just dropped).
+  /// are deliberately KEPT — the pooled stack's wiring survives the reset.
+  /// Precondition: simulator events drained (the pending_ ids are stale by
+  /// then, so they are just dropped).
   void reset() {
-    state_ = State::kOff;
-    phase_start_ = sim::TimePoint::zero();
-    charge_start_volts_ = 0.0;
+    state_ = StateImage{};
     pending_.clear();
-    cycles_ = 0;
-    last_off_at_ = sim::TimePoint::zero();
-    obs_below_active_ = false;
-    obs_below_since_ = sim::TimePoint::zero();
   }
 
  private:
@@ -156,20 +136,13 @@ class PowerSupply {
   sim::Simulator& sim_;
   std::unique_ptr<DischargeModel> model_;
   Params params_;
-  State state_ = State::kOff;
-  sim::TimePoint phase_start_ = sim::TimePoint::zero();
-  double charge_start_volts_ = 0.0;
+  StateImage state_;
   std::vector<PowerSink*> sinks_;
   std::vector<sim::EventId> pending_;
-  std::uint64_t cycles_ = 0;
-  sim::TimePoint last_off_at_ = sim::TimePoint::zero();
 
-  // Observability handles and bookkeeping (obs-private; never read by the
-  // simulation itself, so behaviour is identical with metrics off).
+  // Observability handles (no-ops unless a registry is attached to sim_).
   obs::MetricId obs_rail_series_ = obs::kNoMetric;
   obs::MetricId obs_below_cutoff_ns_ = obs::kNoMetric;
-  bool obs_below_active_ = false;
-  sim::TimePoint obs_below_since_ = sim::TimePoint::zero();
 };
 
 }  // namespace pofi::psu

@@ -110,12 +110,6 @@ class Rng {
   /// child streams stable when components are added or reordered.
   [[nodiscard]] Rng fork(std::string_view label) const;
 
-  /// Raw 256-bit state, for snapshot/restore of a stream mid-flight. A
-  /// restored Rng continues the exact sequence the captured one would have
-  /// produced.
-  [[nodiscard]] std::array<std::uint64_t, 4> state() const { return s_; }
-  void set_state(const std::array<std::uint64_t, 4>& s) { s_ = s; }
-
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

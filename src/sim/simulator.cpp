@@ -5,7 +5,7 @@
 namespace pofi::sim {
 
 void Simulator::check_abort() const {
-  if (step_limit_ != 0 && events_fired_ >= step_limit_) {
+  if (step_limit_ != 0 && state_.events_fired >= step_limit_) {
     throw AbortError(AbortReason::kStepLimit,
                      "simulation step budget exceeded (" +
                          std::to_string(step_limit_) + " events)");
@@ -21,14 +21,14 @@ std::uint64_t Simulator::run_until(TimePoint deadline) {
     const TimePoint t = queue_.next_time();
     if (t > deadline) break;
     check_abort();
-    if (probe_ != nullptr && probe_->on_boundary(events_fired_)) break;
+    if (probe_ != nullptr && probe_->on_boundary(state_.events_fired)) break;
     auto ev = queue_.pop();
-    now_ = ev.time;
+    state_.now = ev.time;
     ev.cb();
     ++fired;
-    ++events_fired_;
+    ++state_.events_fired;
   }
-  if (now_ < deadline) now_ = deadline;
+  if (state_.now < deadline) state_.now = deadline;
   return fired;
 }
 
@@ -37,12 +37,12 @@ std::uint64_t Simulator::run_all(std::uint64_t max_events) {
   while (!queue_.empty()) {
     if (max_events != 0 && fired >= max_events) break;
     check_abort();
-    if (probe_ != nullptr && probe_->on_boundary(events_fired_)) break;
+    if (probe_ != nullptr && probe_->on_boundary(state_.events_fired)) break;
     auto ev = queue_.pop();
-    now_ = ev.time;
+    state_.now = ev.time;
     ev.cb();
     ++fired;
-    ++events_fired_;
+    ++state_.events_fired;
   }
   return fired;
 }

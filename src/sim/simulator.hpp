@@ -86,24 +86,24 @@ class BoundaryProbe {
 
 class Simulator {
  public:
-  explicit Simulator(std::uint64_t seed = 1) : master_rng_(seed) {}
+  explicit Simulator(std::uint64_t seed = 1) : state_{.rng = Rng(seed)} {}
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  [[nodiscard]] TimePoint now() const { return now_; }
+  [[nodiscard]] TimePoint now() const { return state_.now; }
 
   /// Schedule at an absolute instant. Scheduling in the past is clamped to
   /// `now` (fires next, preserving order with other now-events).
   EventId at(TimePoint t, EventQueue::Callback cb) {
-    if (t < now_) t = now_;
+    if (t < state_.now) t = state_.now;
     return queue_.schedule_at(t, std::move(cb));
   }
 
   /// Schedule `d` after the current instant.
   EventId after(Duration d, EventQueue::Callback cb) {
     if (d.is_negative()) d = Duration::zero();
-    return queue_.schedule_at(now_ + d, std::move(cb));
+    return queue_.schedule_at(state_.now + d, std::move(cb));
   }
 
   bool cancel(EventId id) { return queue_.cancel(id); }
@@ -111,7 +111,7 @@ class Simulator {
   /// Run events with time <= deadline. Returns number of events fired.
   std::uint64_t run_until(TimePoint deadline);
 
-  std::uint64_t run_for(Duration d) { return run_until(now_ + d); }
+  std::uint64_t run_for(Duration d) { return run_until(state_.now + d); }
 
   /// Run to quiescence (no pending events). `max_events` guards against
   /// self-perpetuating chains; 0 means unbounded.
@@ -119,31 +119,31 @@ class Simulator {
 
   [[nodiscard]] bool idle() const { return queue_.empty(); }
   [[nodiscard]] std::size_t pending() const { return queue_.size(); }
-  [[nodiscard]] std::uint64_t events_fired() const { return events_fired_; }
+  [[nodiscard]] std::uint64_t events_fired() const { return state_.events_fired; }
 
   /// Whether a scheduled event is still pending (not fired, not cancelled).
   [[nodiscard]] bool event_pending(EventId id) const { return queue_.pending(id); }
   /// Scheduled time of a pending event; TimePoint::max() otherwise.
   [[nodiscard]] TimePoint event_time(EventId id) const { return queue_.time_of(id); }
 
-  /// Capture the simulator's copyable state at a quiescent boundary. The
-  /// queue itself is NOT captured (its callbacks are non-copyable); callers
-  /// record each still-armed timer as a TimerImage and re-arm on restore.
-  void snapshot(SimulatorImage& out) const {
-    out.now = now_;
-    out.events_fired = events_fired_;
-    out.rng_state = master_rng_.state();
+  /// A timer's image for a checkpoint: whether `id` is still pending, its
+  /// deadline and its original sequence number.
+  [[nodiscard]] TimerImage timer_image(EventId id) const {
+    return TimerImage{event_pending(id), event_time(id), id.raw()};
   }
 
-  /// Restore to a captured quiescent boundary: clock, lifetime event count
-  /// and master RNG rewind; every pending event is dropped (the caller
-  /// re-arms the captured timers). Step limit, cancel token, metrics and
-  /// probe attachments are left alone, like reset().
+  /// Capture the clock, lifetime event count and master RNG at a quiescent
+  /// boundary. The queue itself is NOT captured (its callbacks are
+  /// non-copyable); callers record each still-armed timer with
+  /// timer_image() and re-arm it on restore.
+  void snapshot(SimulatorImage& out) const { out = state_; }
+
+  /// Restore to a captured quiescent boundary; every pending event is
+  /// dropped (the caller re-arms the captured timers). Step limit, cancel
+  /// token, metrics and probe attachments are left alone, like reset().
   void restore(const SimulatorImage& image) {
     queue_.clear();
-    now_ = image.now;
-    events_fired_ = image.events_fired;
-    master_rng_.set_state(image.rng_state);
+    state_ = image;
   }
 
   /// Lifetime event budget: once events_fired() exceeds `max_events`, the run
@@ -168,14 +168,12 @@ class Simulator {
   /// left alone; owners re-apply them as part of their own reset.
   void reset(std::uint64_t seed) {
     queue_.clear();
-    now_ = TimePoint::zero();
-    events_fired_ = 0;
-    master_rng_.reseed(seed);
+    state_ = SimulatorImage{.rng = Rng(seed)};
   }
 
   /// Master RNG: fork children from it, one per component.
-  [[nodiscard]] Rng& rng() { return master_rng_; }
-  [[nodiscard]] Rng fork_rng(std::string_view label) const { return master_rng_.fork(label); }
+  [[nodiscard]] Rng& rng() { return state_.rng; }
+  [[nodiscard]] Rng fork_rng(std::string_view label) const { return state_.rng.fork(label); }
 
   /// Observability attachment point. Components instrument themselves with
   ///   if (auto* m = sim.metrics()) m->add(id);
@@ -203,10 +201,8 @@ class Simulator {
   /// set; called once per event, before the callback fires.
   void check_abort() const;
 
-  TimePoint now_ = TimePoint::zero();
+  SimulatorImage state_;
   EventQueue queue_;
-  Rng master_rng_;
-  std::uint64_t events_fired_ = 0;
   std::uint64_t step_limit_ = 0;
   const std::atomic<bool>* cancel_ = nullptr;
   obs::MetricRegistry* metrics_ = nullptr;

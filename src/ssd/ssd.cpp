@@ -33,15 +33,18 @@ void Ssd::reset() {
   chip_->reset();
   ftl_->reset();
   cache_->reset();
-  ready_ = false;
+  state_ = DeviceState{};
+  clear_in_flight();
+}
+
+void Ssd::clear_in_flight() {
   dying_ = false;
-  epoch_ = 0;
+  ++epoch_;
   pending_.clear();
   inflight_cmds_.clear();
   plp_death_event_ = {};
   mount_event_ = {};
   ready_waiters_.clear();
-  stats_ = SsdStats{};
 }
 
 void Ssd::obs_queue_gauges() {
@@ -60,20 +63,20 @@ sim::Duration Ssd::transfer_time(std::uint32_t pages) const {
 // ------------------------------------------------------------------ submit
 
 void Ssd::submit(Command cmd) {
-  if (!ready_) {
-    ++stats_.commands_failed_unavailable;
+  if (!state_.ready) {
+    ++state_.stats.commands_failed_unavailable;
     if (auto* m = sim_.metrics()) m->add(obs_unavailable_);
     if (cmd.done) cmd.done(DeviceStatus::kDeviceUnavailable, {});
     return;
   }
-  ++stats_.commands_accepted;
+  ++state_.stats.commands_accepted;
   pending_.push_back(std::move(cmd));
   obs_queue_gauges();
   dispatch();
 }
 
 void Ssd::dispatch() {
-  while (ready_ && inflight_cmds_.size() < config_.queue_depth && !pending_.empty()) {
+  while (state_.ready && inflight_cmds_.size() < config_.queue_depth && !pending_.empty()) {
     auto cmd = std::make_shared<Command>(std::move(pending_.front()));
     pending_.pop_front();
     inflight_cmds_.push_back(cmd);
@@ -134,8 +137,8 @@ void Ssd::finish(const CmdPtr& cmd, DeviceStatus status, std::vector<std::uint64
   const auto it = std::find(inflight_cmds_.begin(), inflight_cmds_.end(), cmd);
   if (it == inflight_cmds_.end()) return;  // already failed by die()
   inflight_cmds_.erase(it);
-  ++stats_.commands_completed;
-  if (status == DeviceStatus::kMediaError) ++stats_.commands_media_error;
+  ++state_.stats.commands_completed;
+  if (status == DeviceStatus::kMediaError) ++state_.stats.commands_media_error;
   if (cmd->done) cmd->done(status, std::move(contents));
   dispatch();
 }
@@ -169,7 +172,7 @@ void Ssd::write_into_cache(const CmdPtr& cmd, std::uint32_t next_page) {
     ++next_page;
   }
   // All pages in DRAM: ACK. Durability comes later (or never).
-  ++stats_.write_acks;
+  ++state_.stats.write_acks;
   finish(cmd, DeviceStatus::kOk, {});
 }
 
@@ -186,7 +189,7 @@ void Ssd::write_through(const CmdPtr& cmd) {
       if (epoch != epoch_) return;
       if (!ok) progress->failed = true;
       if (--progress->remaining == 0) {
-        if (!progress->failed) ++stats_.write_acks;
+        if (!progress->failed) ++state_.stats.write_acks;
         finish(cmd, progress->failed ? DeviceStatus::kWriteError : DeviceStatus::kOk, {});
       }
     });
@@ -240,10 +243,10 @@ void Ssd::run_read(const CmdPtr& cmd) {
 // ------------------------------------------------------------------- power
 
 void Ssd::on_brownout(sim::TimePoint now) {
-  if (!config_.plp || dying_ || !ready_) return;
+  if (!config_.plp || dying_ || !state_.ready) return;
   POFI_DEBUG(now, "ssd", "%s: brownout detected, PLP emergency flush", config_.model.c_str());
   dying_ = true;
-  ready_ = false;  // stop accepting host commands
+  state_.ready = false;  // stop accepting host commands
   ftl_->set_emergency(true);
   cache_->flush_all([this] { ftl_->flush_journal_now(); });
 }
@@ -255,11 +258,11 @@ void Ssd::on_power_lost(sim::TimePoint now) {
     plp_death_event_ = sim_.after(config_.plp_hold, [this, epoch] {
       if (epoch != epoch_) return;
       if (cache_->dirty_pages() == 0 && ftl_->mapping().volatile_count() == 0) {
-        ++stats_.clean_plp_shutdowns;
+        ++state_.stats.clean_plp_shutdowns;
       }
       die();
     });
-    ready_ = false;
+    state_.ready = false;
     dying_ = true;
     return;
   }
@@ -269,13 +272,13 @@ void Ssd::on_power_lost(sim::TimePoint now) {
 }
 
 void Ssd::die() {
-  ++stats_.power_losses;
+  ++state_.stats.power_losses;
   if (auto* m = sim_.metrics()) {
     m->add(obs_power_losses_);
     m->trace().end(obs_span_mount_, sim_.now());  // fault mid-mount
   }
   ++epoch_;
-  ready_ = false;
+  state_.ready = false;
   dying_ = false;
   sim_.cancel(plp_death_event_);
   sim_.cancel(mount_event_);
@@ -289,12 +292,12 @@ void Ssd::die() {
   auto inflight = std::move(inflight_cmds_);
   inflight_cmds_.clear();
   for (const auto& c : inflight) {
-    ++stats_.commands_failed_unavailable;
+    ++state_.stats.commands_failed_unavailable;
     if (auto* m = sim_.metrics()) m->add(obs_unavailable_);
     if (c->done) c->done(DeviceStatus::kDeviceUnavailable, {});
   }
   for (auto& c : pending_) {
-    ++stats_.commands_failed_unavailable;
+    ++state_.stats.commands_failed_unavailable;
     if (auto* m = sim_.metrics()) m->add(obs_unavailable_);
     if (c.done) c.done(DeviceStatus::kDeviceUnavailable, {});
   }
@@ -303,7 +306,7 @@ void Ssd::die() {
 }
 
 void Ssd::on_power_good(sim::TimePoint now) {
-  if (ready_) return;
+  if (state_.ready) return;
   POFI_DEBUG(now, "ssd", "%s: power good, mounting", config_.model.c_str());
   if (auto* m = sim_.metrics()) m->trace().begin(obs_span_mount_, now);
   chip_->on_power_good();
@@ -317,7 +320,7 @@ void Ssd::on_power_good(sim::TimePoint now) {
     ftl_->recover_por([this, epoch] {
       if (epoch != epoch_) return;
       if (auto* m = sim_.metrics()) m->trace().end(obs_span_mount_, sim_.now());
-      ready_ = true;
+      state_.ready = true;
       dying_ = false;
       auto waiters = std::move(ready_waiters_);
       ready_waiters_.clear();

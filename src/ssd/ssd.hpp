@@ -103,7 +103,7 @@ class Ssd final : public psu::PowerSink {
 
   // --- Host interface -------------------------------------------------------
   /// Device is powered, mounted and accepting commands.
-  [[nodiscard]] bool ready() const { return ready_; }
+  [[nodiscard]] bool ready() const { return state_.ready; }
   /// Submit a command. If the device is not ready the command fails
   /// immediately with kDeviceUnavailable (host sees an IO error).
   void submit(Command cmd);
@@ -133,49 +133,41 @@ class Ssd final : public psu::PowerSink {
   /// Snapshot precondition: ready, not dying, no queued/in-flight commands,
   /// no mount/death timers, and chip/FTL/cache all quiescent themselves.
   [[nodiscard]] bool quiescent() const {
-    return ready_ && !dying_ && pending_.empty() && inflight_cmds_.empty() &&
+    return state_.ready && !dying_ && pending_.empty() && inflight_cmds_.empty() &&
            ready_waiters_.empty() && !sim_.event_pending(plp_death_event_) &&
            !sim_.event_pending(mount_event_) && chip_->quiescent() && ftl_->quiescent() &&
            cache_->quiescent();
   }
 
-  /// Copyable device state at a quiescent boundary. The NCQ is empty by
-  /// precondition; restore() clears whatever a dirty (post-crash) device
-  /// still holds. `epoch` is captured so stale completions of the pre-restore
-  /// lifetime can never act on the restored one.
+  /// The device's own state; the chip array, FTL and cache keep theirs.
+  /// The NCQ, waiters and mount/death timers are in-flight fields outside
+  /// it, empty at a quiescent boundary.
+  struct DeviceState {
+    bool ready = false;
+    SsdStats stats;
+  };
   struct StateImage {
     nand::ChipArray::StateImage chip;
     ftl::Ftl::StateImage ftl;
     WriteCache::StateImage cache;
-    bool ready = false;
-    std::uint64_t epoch = 0;
-    SsdStats stats;
+    DeviceState device;
   };
 
   void snapshot(StateImage& out) const {
     chip_->snapshot(out.chip);
     ftl_->snapshot(out.ftl);
     cache_->snapshot(out.cache);
-    out.ready = ready_;
-    out.epoch = epoch_;
-    out.stats = stats_;
+    out.device = state_;
   }
 
+  /// Restore onto a possibly dirty (post-crash) device: whatever it still
+  /// holds in flight is dropped.
   void restore(const StateImage& image, sim::TimerRearmer& rearm) {
     chip_->restore(image.chip);
     ftl_->restore(image.ftl, rearm);
     cache_->restore(image.cache, rearm);
-    ready_ = image.ready;
-    dying_ = false;
-    // Strictly greater than both the captured and the current epoch: stale
-    // callbacks from either lifetime must miss.
-    epoch_ = std::max(epoch_, image.epoch) + 1;
-    pending_.clear();
-    inflight_cmds_.clear();
-    plp_death_event_ = {};
-    mount_event_ = {};
-    ready_waiters_.clear();
-    stats_ = image.stats;
+    state_ = image.device;
+    clear_in_flight();
   }
 
   // --- Introspection --------------------------------------------------------
@@ -187,7 +179,7 @@ class Ssd final : public psu::PowerSink {
   [[nodiscard]] const nand::ChipArray& chip() const { return *chip_; }
   [[nodiscard]] const ftl::Ftl& ftl() const { return *ftl_; }
   [[nodiscard]] const WriteCache& cache() const { return *cache_; }
-  [[nodiscard]] const SsdStats& stats() const { return stats_; }
+  [[nodiscard]] const SsdStats& stats() const { return state_.stats; }
   [[nodiscard]] std::size_t queued_commands() const { return pending_.size(); }
   [[nodiscard]] std::size_t inflight_commands() const { return inflight_cmds_.size(); }
 
@@ -204,6 +196,9 @@ class Ssd final : public psu::PowerSink {
   void run_trim(const CmdPtr& cmd);
   void finish(const CmdPtr& cmd, DeviceStatus status, std::vector<std::uint64_t> contents);
   void die();
+  /// Drop the NCQ, waiters and mount/death timers, and bump the epoch so
+  /// that no completion of the previous lifetime acts on this one.
+  void clear_in_flight();
   [[nodiscard]] sim::Duration transfer_time(std::uint32_t pages) const;
 
   sim::Simulator& sim_;
@@ -212,15 +207,16 @@ class Ssd final : public psu::PowerSink {
   std::unique_ptr<ftl::Ftl> ftl_;
   std::unique_ptr<WriteCache> cache_;
 
-  bool ready_ = false;
+  DeviceState state_;
   bool dying_ = false;       ///< PLP grace window active
-  std::uint64_t epoch_ = 0;  ///< bumped at every death; stales callbacks
+  /// Bumped at every death, restore and reset; stales callbacks. Not state:
+  /// only its changes matter.
+  std::uint64_t epoch_ = 0;
   std::deque<Command> pending_;
   std::vector<CmdPtr> inflight_cmds_;
   sim::EventId plp_death_event_{};
   sim::EventId mount_event_{};
   std::vector<ReadyFn> ready_waiters_;
-  SsdStats stats_;
 
   /// Refresh the NCQ depth gauges from pending_/inflight_cmds_.
   void obs_queue_gauges();

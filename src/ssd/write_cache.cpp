@@ -7,7 +7,8 @@
 namespace pofi::ssd {
 
 WriteCache::WriteCache(sim::Simulator& simulator, ftl::Ftl& ftl, Config config)
-    : sim_(simulator), ftl_(ftl), config_(config), rng_(simulator.fork_rng("write-cache")) {
+    : sim_(simulator), ftl_(ftl), config_(config) {
+  reset();
   if (auto* m = sim_.metrics()) {
     obs_dirty_gauge_ = m->gauge("ssd.cache.dirty_pages");
     obs_dirty_lost_ = m->counter("ssd.cache.dirty_lost");
@@ -21,55 +22,55 @@ WriteCache::WriteCache(sim::Simulator& simulator, ftl::Ftl& ftl, Config config)
 }
 
 std::uint32_t WriteCache::slot_of(ftl::Lpn lpn) const {
-  const IndexChunk* c = index_.find(lpn);
+  const IndexChunk* c = state_.index.find(lpn);
   return c == nullptr ? kNoSlot : c->slot[Index::offset(lpn)];
 }
 
 std::uint32_t WriteCache::claim_slot(ftl::Lpn lpn) {
   std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
+  if (!state_.free_slots.empty()) {
+    slot = state_.free_slots.back();
+    state_.free_slots.pop_back();
   } else {
-    slot = static_cast<std::uint32_t>(arena_.size());
-    arena_.emplace_back();
+    slot = static_cast<std::uint32_t>(state_.arena.size());
+    state_.arena.emplace_back();
   }
-  arena_[slot].lpn = lpn;
-  index_.touch(lpn).slot[Index::offset(lpn)] = slot;
+  state_.arena[slot].lpn = lpn;
+  state_.index.touch(lpn).slot[Index::offset(lpn)] = slot;
   return slot;
 }
 
 void WriteCache::release_slot(std::uint32_t slot) {
-  Entry& e = arena_[slot];
-  index_.find(e.lpn)->slot[Index::offset(e.lpn)] = kNoSlot;
+  Entry& e = state_.arena[slot];
+  state_.index.find(e.lpn)->slot[Index::offset(e.lpn)] = kNoSlot;
   e = Entry{};  // seq 0: every ticket for the slot is now stale
-  free_slots_.push_back(slot);
+  state_.free_slots.push_back(slot);
 }
 
 bool WriteCache::insert(ftl::Lpn lpn, std::uint64_t content) {
-  if (!powered_) return false;
+  if (!state_.powered) return false;
   std::uint32_t slot = slot_of(lpn);
   if (slot == kNoSlot) {
     if (resident_pages() >= config_.capacity_pages) {
       evict_clean_if_needed();
       if (resident_pages() >= config_.capacity_pages) {
-        ++stats_.backpressure_stalls;
+        ++state_.stats.backpressure_stalls;
         return false;  // full of dirty data
       }
     }
     slot = claim_slot(lpn);
-  } else if (arena_[slot].dirty) {
-    --dirty_count_;  // will re-count below; overwrite coalesces
+  } else if (state_.arena[slot].dirty) {
+    --state_.dirty_count;  // will re-count below; overwrite coalesces
   }
-  Entry& e = arena_[slot];
+  Entry& e = state_.arena[slot];
   e.content = content;
-  e.seq = next_seq_++;
+  e.seq = state_.next_seq++;
   e.dirtied_at = sim_.now();
   e.dirty = true;
-  ++dirty_count_;
-  dirty_fifo_.push_back(Ticket{slot, e.seq});
-  ++stats_.inserts;
-  if (auto* m = sim_.metrics()) m->set(obs_dirty_gauge_, dirty_count_);
+  ++state_.dirty_count;
+  state_.dirty_fifo.push_back(Ticket{slot, e.seq});
+  ++state_.stats.inserts;
+  if (auto* m = sim_.metrics()) m->set(obs_dirty_gauge_, state_.dirty_count);
   pump();
   return true;
 }
@@ -77,21 +78,21 @@ bool WriteCache::insert(ftl::Lpn lpn, std::uint64_t content) {
 std::optional<std::uint64_t> WriteCache::lookup(ftl::Lpn lpn) const {
   const std::uint32_t slot = slot_of(lpn);
   if (slot == kNoSlot) return std::nullopt;
-  return arena_[slot].content;
+  return state_.arena[slot].content;
 }
 
 void WriteCache::invalidate(ftl::Lpn lpn) {
   const std::uint32_t slot = slot_of(lpn);
   if (slot == kNoSlot) return;
-  if (arena_[slot].dirty && dirty_count_ > 0) --dirty_count_;
+  if (state_.arena[slot].dirty && state_.dirty_count > 0) --state_.dirty_count;
   release_slot(slot);  // FIFO tickets for it become stale and are skipped
-  if (auto* m = sim_.metrics()) m->set(obs_dirty_gauge_, dirty_count_);
+  if (auto* m = sim_.metrics()) m->set(obs_dirty_gauge_, state_.dirty_count);
   notify_space();
 }
 
 std::optional<sim::Duration> WriteCache::oldest_dirty_age() const {
-  for (const auto& t : dirty_fifo_) {
-    if (dirty_ticket(t)) return sim_.now() - arena_[t.slot].dirtied_at;
+  for (const auto& t : state_.dirty_fifo) {
+    if (dirty_ticket(t)) return sim_.now() - state_.arena[t.slot].dirtied_at;
   }
   return std::nullopt;
 }
@@ -99,11 +100,14 @@ std::optional<sim::Duration> WriteCache::oldest_dirty_age() const {
 std::size_t WriteCache::pick_flush_candidate(bool pressured) {
   constexpr std::size_t kNone = ~std::size_t{0};
   // Drop stale tickets off the head first.
-  while (!dirty_fifo_.empty() && !dirty_ticket(dirty_fifo_.front())) dirty_fifo_.pop_front();
-  if (dirty_fifo_.empty()) return kNone;
+  while (!state_.dirty_fifo.empty() && !dirty_ticket(state_.dirty_fifo.front())) {
+    state_.dirty_fifo.pop_front();
+  }
+  if (state_.dirty_fifo.empty()) return kNone;
 
   // Head must be ripe (or the cache pressured) for anything to flush.
-  const sim::Duration head_age = sim_.now() - arena_[dirty_fifo_.front().slot].dirtied_at;
+  const sim::Duration head_age =
+      sim_.now() - state_.arena[state_.dirty_fifo.front().slot].dirtied_at;
   if (!pressured && head_age < config_.hold_time) {
     sim_.cancel(wake_event_);
     wake_event_ = sim_.after(config_.hold_time - head_age, [this] { pump(); });
@@ -113,36 +117,36 @@ std::size_t WriteCache::pick_flush_candidate(bool pressured) {
   // Pick uniformly among the ripe candidates in the scramble window.
   const std::size_t window =
       std::min<std::size_t>(std::max<std::uint32_t>(1, config_.flush_scramble_window),
-                            dirty_fifo_.size());
+                            state_.dirty_fifo.size());
   std::size_t ripe = 0;
   for (std::size_t i = 0; i < window; ++i) {
-    const Ticket& t = dirty_fifo_[i];
+    const Ticket& t = state_.dirty_fifo[i];
     if (!dirty_ticket(t)) continue;
-    if (!pressured && (sim_.now() - arena_[t.slot].dirtied_at) < config_.hold_time) break;
+    if (!pressured && (sim_.now() - state_.arena[t.slot].dirtied_at) < config_.hold_time) break;
     ++ripe;
   }
   if (ripe == 0) return 0;  // head itself (ripe by the check above)
-  std::size_t target = rng_.below(ripe);
+  std::size_t target = state_.rng.below(ripe);
   for (std::size_t i = 0; i < window; ++i) {
-    const Ticket& t = dirty_fifo_[i];
+    const Ticket& t = state_.dirty_fifo[i];
     if (!dirty_ticket(t)) continue;
-    if (!pressured && (sim_.now() - arena_[t.slot].dirtied_at) < config_.hold_time) break;
+    if (!pressured && (sim_.now() - state_.arena[t.slot].dirtied_at) < config_.hold_time) break;
     if (target-- == 0) return i;
   }
   return 0;
 }
 
 void WriteCache::pump() {
-  if (!powered_) return;
+  if (!state_.powered) return;
   const bool pressured =
       emergency_ ||
-      static_cast<double>(dirty_count_) >=
+      static_cast<double>(state_.dirty_count) >=
           config_.high_watermark * static_cast<double>(config_.capacity_pages);
   while (in_flight_ < config_.flush_ways) {
     const std::size_t idx = pick_flush_candidate(pressured);
     if (idx == ~std::size_t{0}) return;
-    const Ticket t = dirty_fifo_[idx];
-    dirty_fifo_.erase(dirty_fifo_.begin() + static_cast<std::ptrdiff_t>(idx));
+    const Ticket t = state_.dirty_fifo[idx];
+    state_.dirty_fifo.erase(state_.dirty_fifo.begin() + static_cast<std::ptrdiff_t>(idx));
     if (!dirty_ticket(t)) continue;
     issue_flush(t.slot);
   }
@@ -150,7 +154,7 @@ void WriteCache::pump() {
 
 void WriteCache::issue_flush(std::uint32_t slot) {
   ++in_flight_;
-  const Entry& e = arena_[slot];
+  const Entry& e = state_.arena[slot];
   // Sixteen trivially copyable bytes, which std::function stores inline: a
   // flush allocates nothing. The low half of seq identifies the dirtying,
   // as far fewer than 2^32 inserts happen while one flush is in flight.
@@ -160,25 +164,25 @@ void WriteCache::issue_flush(std::uint32_t slot) {
 
 void WriteCache::flush_done(std::uint32_t slot, std::uint32_t seq_low, bool ok) {
   if (in_flight_ > 0) --in_flight_;
-  if (!powered_) return;
+  if (!state_.powered) return;
   // A completion from before a power loss may name a slot the arena no
   // longer has.
-  Entry* e = slot < arena_.size() ? &arena_[slot] : nullptr;
+  Entry* e = slot < state_.arena.size() ? &state_.arena[slot] : nullptr;
   if (e != nullptr && e->dirty && static_cast<std::uint32_t>(e->seq) == seq_low) {
     if (ok) {
       if (auto* m = sim_.metrics()) {
         m->record(obs_flush_latency_, (sim_.now() - e->dirtied_at).count_ns() / 1000);
       }
       e->dirty = false;
-      if (dirty_count_ > 0) --dirty_count_;
-      clean_fifo_.push_back(Ticket{slot, e->seq});
-      ++stats_.flushes_completed;
-      if (auto* m = sim_.metrics()) m->set(obs_dirty_gauge_, dirty_count_);
+      if (state_.dirty_count > 0) --state_.dirty_count;
+      state_.clean_fifo.push_back(Ticket{slot, e->seq});
+      ++state_.stats.flushes_completed;
+      if (auto* m = sim_.metrics()) m->set(obs_dirty_gauge_, state_.dirty_count);
       evict_clean_if_needed();
       notify_space();
     } else {
       // Failed program: page stays dirty, retry via a fresh ticket.
-      dirty_fifo_.push_back(Ticket{slot, e->seq});
+      state_.dirty_fifo.push_back(Ticket{slot, e->seq});
     }
   }
   pump();
@@ -186,13 +190,13 @@ void WriteCache::flush_done(std::uint32_t slot, std::uint32_t seq_low, bool ok) 
 }
 
 void WriteCache::evict_clean_if_needed() {
-  while (resident_pages() >= config_.capacity_pages && !clean_fifo_.empty()) {
-    const Ticket t = clean_fifo_.front();
-    clean_fifo_.pop_front();
-    const Entry& e = arena_[t.slot];
+  while (resident_pages() >= config_.capacity_pages && !state_.clean_fifo.empty()) {
+    const Ticket t = state_.clean_fifo.front();
+    state_.clean_fifo.pop_front();
+    const Entry& e = state_.arena[t.slot];
     if (e.dirty || e.seq != t.seq) continue;
     release_slot(t.slot);
-    ++stats_.clean_evictions;
+    ++state_.stats.clean_evictions;
   }
 }
 
@@ -214,7 +218,7 @@ void WriteCache::flush_all(std::function<void()> done) {
 
 void WriteCache::check_emergency_done() {
   if (!emergency_ || emergency_done_ == nullptr) return;
-  if (dirty_count_ == 0 && in_flight_ == 0) {
+  if (state_.dirty_count == 0 && in_flight_ == 0) {
     auto cb = std::move(emergency_done_);
     emergency_done_ = nullptr;
     emergency_ = false;  // back to normal hold-time batching
@@ -224,54 +228,54 @@ void WriteCache::check_emergency_done() {
 }
 
 std::size_t WriteCache::on_power_lost() {
-  powered_ = false;
-  const std::size_t lost = dirty_count_;
-  stats_.dirty_lost_on_power_failure += lost;
+  state_.powered = false;
+  const std::size_t lost = state_.dirty_count;
+  state_.stats.dirty_lost_on_power_failure += lost;
   if (auto* m = sim_.metrics()) {
     m->add(obs_dirty_lost_, lost);
     m->set(obs_dirty_gauge_, 0);
     m->trace().end(obs_span_flush_all_, sim_.now());  // fault mid-drain
   }
-  last_dropped_lpns_.clear();
-  for (const Entry& e : arena_) {
-    if (e.dirty) last_dropped_lpns_.push_back(e.lpn);
+  state_.last_dropped_lpns.clear();
+  for (const Entry& e : state_.arena) {
+    if (e.dirty) state_.last_dropped_lpns.push_back(e.lpn);
   }
-  arena_.clear();
-  free_slots_.clear();
-  index_.clear();
-  dirty_fifo_.clear();
-  clean_fifo_.clear();
-  dirty_count_ = 0;
-  in_flight_ = 0;
-  emergency_ = false;
-  emergency_done_ = nullptr;
-  space_waiters_.clear();
+  state_.arena.clear();
+  state_.free_slots.clear();
+  state_.index.clear();
+  state_.dirty_fifo.clear();
+  state_.clean_fifo.clear();
+  state_.dirty_count = 0;
   sim_.cancel(wake_event_);
+  clear_in_flight();
   return lost;
 }
 
 void WriteCache::on_power_good() {
-  powered_ = true;
+  state_.powered = true;
   emergency_ = false;
 }
 
-void WriteCache::reset() {
-  powered_ = false;
+void WriteCache::clear_in_flight() {
   emergency_ = false;
   emergency_done_ = nullptr;
-  arena_.clear();
-  free_slots_.clear();
-  index_.clear();
-  dirty_fifo_.clear();
-  clean_fifo_.clear();
-  dirty_count_ = 0;
   in_flight_ = 0;
-  next_seq_ = 1;
   wake_event_ = {};
   space_waiters_.clear();
-  last_dropped_lpns_.clear();
-  stats_ = CacheStats{};
-  rng_ = sim_.fork_rng("write-cache");
+}
+
+void WriteCache::reset() {
+  state_ = pristine_;
+  state_.rng = sim_.fork_rng("write-cache");
+  clear_in_flight();
+}
+
+void WriteCache::restore(const StateImage& image, sim::TimerRearmer& rearm) {
+  state_ = image;
+  clear_in_flight();
+  rearm.enqueue(image.wake_timer, [this, deadline = image.wake_timer.deadline] {
+    wake_event_ = sim_.at(deadline, [this] { pump(); });
+  });
 }
 
 }  // namespace pofi::ssd

@@ -75,11 +75,11 @@ class WriteCache {
   /// DRAM, dirty or not.
   void invalidate(ftl::Lpn lpn);
 
-  [[nodiscard]] std::size_t dirty_pages() const { return dirty_count_; }
+  [[nodiscard]] std::size_t dirty_pages() const { return state_.dirty_count; }
   [[nodiscard]] std::size_t resident_pages() const {
-    return arena_.size() - free_slots_.size();
+    return state_.arena.size() - state_.free_slots.size();
   }
-  [[nodiscard]] const CacheStats& stats() const { return stats_; }
+  [[nodiscard]] const CacheStats& stats() const { return state_.stats; }
 
   /// Age of the oldest still-dirty page (vulnerability window probe).
   [[nodiscard]] std::optional<sim::Duration> oldest_dirty_age() const;
@@ -99,7 +99,7 @@ class WriteCache {
   /// arena order, not sorted (readers that search it sort a copy); cleared
   /// on reset, replaced on each loss.
   [[nodiscard]] const std::vector<ftl::Lpn>& last_dropped_lpns() const {
-    return last_dropped_lpns_;
+    return state_.last_dropped_lpns;
   }
 
   /// Session reset: back to the just-constructed (unpowered, empty) state
@@ -116,10 +116,6 @@ class WriteCache {
 
   /// Whether the hold-time wake is currently scheduled (quiescence census).
   [[nodiscard]] bool wake_timer_armed() const { return sim_.event_pending(wake_event_); }
-
-  struct StateImage;
-  void snapshot(StateImage& out) const;
-  void restore(const StateImage& image, sim::TimerRearmer& rearm);
 
  private:
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
@@ -153,12 +149,37 @@ class WriteCache {
   void release_slot(std::uint32_t slot);
   /// True while `t` names the slot's current dirtying.
   [[nodiscard]] bool dirty_ticket(const Ticket& t) const {
-    const Entry& e = arena_[t.slot];
+    const Entry& e = state_.arena[t.slot];
     return e.dirty && e.seq == t.seq;
   }
 
+ public:
+  /// Cache state. Flushes in flight, space waiters and a FLUSH/PLP drain
+  /// are in-flight fields outside it, idle at a quiescent boundary.
+  struct StateImage {
+    sim::Rng rng;  ///< flush scrambling
+    bool powered = false;
+    std::vector<Entry> arena;  ///< grows to at most capacity_pages slots
+    std::vector<std::uint32_t> free_slots;
+    Index index;  ///< LPN -> arena slot
+    std::deque<Ticket> dirty_fifo;
+    std::deque<Ticket> clean_fifo;
+    std::size_t dirty_count = 0;
+    std::uint64_t next_seq = 1;
+    std::vector<ftl::Lpn> last_dropped_lpns;
+    CacheStats stats;
+    /// Image only: snapshot() fills it; the live value's copy is never read.
+    sim::TimerImage wake_timer;
+  };
+  void snapshot(StateImage& out) const {
+    out = state_;
+    out.wake_timer = sim_.timer_image(wake_event_);
+  }
+  void restore(const StateImage& image, sim::TimerRearmer& rearm);
+
+ private:
   void pump();
-  /// Index into dirty_fifo_ of the ticket to flush next, or npos when the
+  /// Index into the dirty FIFO of the ticket to flush next, or npos when the
   /// ripe window is empty.
   [[nodiscard]] std::size_t pick_flush_candidate(bool pressured);
   void issue_flush(std::uint32_t slot);
@@ -166,27 +187,20 @@ class WriteCache {
   void evict_clean_if_needed();
   void notify_space();
   void check_emergency_done();
+  /// Drop flushes in flight, space waiters and any drain (their events are
+  /// gone) and forget the wake timer's event id.
+  void clear_in_flight();
 
   sim::Simulator& sim_;
   ftl::Ftl& ftl_;
   Config config_;
-  sim::Rng rng_;
-  bool powered_ = false;
+  StateImage state_;
+  const StateImage pristine_;  ///< see sim/state_image.hpp
   bool emergency_ = false;
   std::function<void()> emergency_done_;
-
-  std::vector<Entry> arena_;  ///< grows to at most capacity_pages slots
-  std::vector<std::uint32_t> free_slots_;
-  Index index_;  ///< LPN -> arena slot
-  std::deque<Ticket> dirty_fifo_;
-  std::deque<Ticket> clean_fifo_;
-  std::size_t dirty_count_ = 0;
   std::uint32_t in_flight_ = 0;
-  std::uint64_t next_seq_ = 1;
   sim::EventId wake_event_{};
   std::vector<std::function<void()>> space_waiters_;
-  std::vector<ftl::Lpn> last_dropped_lpns_;
-  CacheStats stats_;
 
   // Observability handles (no-ops unless a registry is attached to sim_).
   obs::MetricId obs_dirty_gauge_ = obs::kNoMetric;
@@ -194,60 +208,5 @@ class WriteCache {
   obs::MetricId obs_flush_latency_ = obs::kNoMetric;
   std::uint32_t obs_span_flush_all_ = 0;
 };
-
-/// Copyable cache state at a quiescent boundary.
-struct WriteCache::StateImage {
-  std::array<std::uint64_t, 4> rng_state{};
-  bool powered = false;
-  std::vector<Entry> arena;
-  std::vector<std::uint32_t> free_slots;
-  Index index;
-  std::deque<Ticket> dirty_fifo;
-  std::deque<Ticket> clean_fifo;
-  std::size_t dirty_count = 0;
-  std::uint64_t next_seq = 1;
-  std::vector<ftl::Lpn> last_dropped_lpns;
-  CacheStats stats;
-  sim::TimerImage wake_timer;
-};
-
-inline void WriteCache::snapshot(StateImage& out) const {
-  out.rng_state = rng_.state();
-  out.powered = powered_;
-  out.arena = arena_;
-  out.free_slots = free_slots_;
-  out.index = index_;
-  out.dirty_fifo = dirty_fifo_;
-  out.clean_fifo = clean_fifo_;
-  out.dirty_count = dirty_count_;
-  out.next_seq = next_seq_;
-  out.last_dropped_lpns = last_dropped_lpns_;
-  out.stats = stats_;
-  out.wake_timer.armed = sim_.event_pending(wake_event_);
-  out.wake_timer.deadline = sim_.event_time(wake_event_);
-  out.wake_timer.seq = wake_event_.raw();
-}
-
-inline void WriteCache::restore(const StateImage& image, sim::TimerRearmer& rearm) {
-  rng_.set_state(image.rng_state);
-  powered_ = image.powered;
-  emergency_ = false;
-  emergency_done_ = nullptr;
-  arena_ = image.arena;
-  free_slots_ = image.free_slots;
-  index_ = image.index;
-  dirty_fifo_ = image.dirty_fifo;
-  clean_fifo_ = image.clean_fifo;
-  dirty_count_ = image.dirty_count;
-  in_flight_ = 0;
-  next_seq_ = image.next_seq;
-  wake_event_ = {};
-  space_waiters_.clear();
-  last_dropped_lpns_ = image.last_dropped_lpns;
-  stats_ = image.stats;
-  rearm.enqueue(image.wake_timer, [this, deadline = image.wake_timer.deadline] {
-    wake_event_ = sim_.at(deadline, [this] { pump(); });
-  });
-}
 
 }  // namespace pofi::ssd

@@ -119,9 +119,7 @@ void CrashHarness::capture(HarnessSnapshot& snap) const {
   snap.boundary = sim.events_fired() - cursor_.base;
   snap.cursor = cursor_;
   gen_->snapshot(snap.gen);
-  snap.pump.armed = sim.event_pending(pump_event_);
-  snap.pump.deadline = sim.event_time(pump_event_);
-  snap.pump.seq = pump_event_.raw();
+  snap.pump = sim.timer_image(pump_event_);
   tp_->snapshot(snap.platform);
 }
 

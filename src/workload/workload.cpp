@@ -6,7 +6,7 @@
 namespace pofi::workload {
 
 WorkloadGenerator::WorkloadGenerator(WorkloadConfig config, sim::Rng rng)
-    : config_(std::move(config)), rng_(rng), seq_cursor_(config_.base_lpn) {
+    : config_(std::move(config)), state_{.rng = rng, .seq_cursor = config_.base_lpn} {
   if (config_.replay.empty()) {
     assert(config_.min_pages >= 1 && config_.min_pages <= config_.max_pages);
     assert(config_.wss_pages >= config_.max_pages);
@@ -16,21 +16,21 @@ WorkloadGenerator::WorkloadGenerator(WorkloadConfig config, sim::Rng rng)
 std::uint32_t WorkloadGenerator::pick_pages() {
   if (config_.min_pages == config_.max_pages) return config_.min_pages;
   return static_cast<std::uint32_t>(
-      rng_.range(config_.min_pages, config_.max_pages));
+      state_.rng.range(config_.min_pages, config_.max_pages));
 }
 
 ftl::Lpn WorkloadGenerator::pick_lpn(std::uint32_t pages) {
   switch (config_.pattern) {
     case AccessPattern::kUniformRandom: {
       const std::uint64_t span = config_.wss_pages - pages + 1;
-      return config_.base_lpn + rng_.below(span);
+      return config_.base_lpn + state_.rng.below(span);
     }
     case AccessPattern::kSequential: {
-      if (seq_cursor_ + pages > config_.base_lpn + config_.wss_pages) {
-        seq_cursor_ = config_.base_lpn;  // wrap at the end of the working set
+      if (state_.seq_cursor + pages > config_.base_lpn + config_.wss_pages) {
+        state_.seq_cursor = config_.base_lpn;  // wrap at the end of the working set
       }
-      const ftl::Lpn lpn = seq_cursor_;
-      seq_cursor_ += pages;
+      const ftl::Lpn lpn = state_.seq_cursor;
+      state_.seq_cursor += pages;
       return lpn;
     }
   }
@@ -38,14 +38,14 @@ ftl::Lpn WorkloadGenerator::pick_lpn(std::uint32_t pages) {
 }
 
 RequestSpec WorkloadGenerator::next() {
-  ++generated_;
+  ++state_.generated;
   if (!config_.replay.empty()) {
     // Trace replay: cycle through the recorded stream verbatim.
-    return config_.replay[(generated_ - 1) % config_.replay.size()];
+    return config_.replay[(state_.generated - 1) % config_.replay.size()];
   }
-  if (pair_pending_) {
-    pair_pending_ = false;
-    return pair_second_;
+  if (state_.pair_pending) {
+    state_.pair_pending = false;
+    return state_.pair_second;
   }
 
   RequestSpec spec;
@@ -64,12 +64,12 @@ RequestSpec WorkloadGenerator::next() {
       case SequenceMode::kNone: break;
     }
     spec.op = first;
-    pair_second_ = RequestSpec{second, spec.lpn, spec.pages};
-    pair_pending_ = true;
+    state_.pair_second = RequestSpec{second, spec.lpn, spec.pages};
+    state_.pair_pending = true;
     return spec;
   }
 
-  spec.op = rng_.chance(config_.write_fraction) ? OpType::kWrite : OpType::kRead;
+  spec.op = state_.rng.chance(config_.write_fraction) ? OpType::kWrite : OpType::kRead;
   return spec;
 }
 

@@ -81,7 +81,21 @@ class WorkloadGenerator {
     return 1.0 / config_.target_iops;
   }
 
-  [[nodiscard]] std::uint64_t generated() const { return generated_; }
+  [[nodiscard]] std::uint64_t generated() const { return state_.generated; }
+
+  /// Generator position within its stream. The config is construction/reset
+  /// input, not state: restore() requires the generator to already carry the
+  /// same workload the image was captured under.
+  struct StateImage {
+    sim::Rng rng;
+    std::uint64_t generated = 0;
+    ftl::Lpn seq_cursor = 0;
+    // Sequence-mode pair state: the second access replays the first's address.
+    bool pair_pending = false;
+    RequestSpec pair_second{};
+  };
+  void snapshot(StateImage& out) const { out = state_; }
+  void restore(const StateImage& image) { state_ = image; }
 
   /// Session reset: adopt a (possibly different) workload and a fresh RNG
   /// stream in place. Equivalent to re-constructing, but string/vector
@@ -89,36 +103,7 @@ class WorkloadGenerator {
   /// steady state.
   void reset(const WorkloadConfig& config, sim::Rng rng) {
     config_ = config;
-    rng_ = rng;
-    generated_ = 0;
-    seq_cursor_ = config_.base_lpn;
-    pair_pending_ = false;
-    pair_second_ = RequestSpec{};
-  }
-
-  /// Generator position within its stream. The config is construction/reset
-  /// input, not state: restore() requires the generator to already carry the
-  /// same workload the image was captured under.
-  struct StateImage {
-    std::array<std::uint64_t, 4> rng_state{};
-    std::uint64_t generated = 0;
-    ftl::Lpn seq_cursor = 0;
-    bool pair_pending = false;
-    RequestSpec pair_second{};
-  };
-  void snapshot(StateImage& out) const {
-    out.rng_state = rng_.state();
-    out.generated = generated_;
-    out.seq_cursor = seq_cursor_;
-    out.pair_pending = pair_pending_;
-    out.pair_second = pair_second_;
-  }
-  void restore(const StateImage& image) {
-    rng_.set_state(image.rng_state);
-    generated_ = image.generated;
-    seq_cursor_ = image.seq_cursor;
-    pair_pending_ = image.pair_pending;
-    pair_second_ = image.pair_second;
+    state_ = StateImage{.rng = rng, .seq_cursor = config_.base_lpn};
   }
 
  private:
@@ -126,12 +111,7 @@ class WorkloadGenerator {
   [[nodiscard]] ftl::Lpn pick_lpn(std::uint32_t pages);
 
   WorkloadConfig config_;
-  sim::Rng rng_;
-  std::uint64_t generated_ = 0;
-  ftl::Lpn seq_cursor_ = 0;
-  // Sequence-mode pair state: the second access replays the first's address.
-  bool pair_pending_ = false;
-  RequestSpec pair_second_{};
+  StateImage state_;
 };
 
 }  // namespace pofi::workload

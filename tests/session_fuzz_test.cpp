@@ -11,7 +11,10 @@
 // geometry-mismatch rebuild fallback when it didn't (large_drive after
 // golden, and back). Rows, blktrace streams and metric snapshots must match
 // byte-for-byte on every trial; any divergence means some component's
-// reset() leaks history.
+// reset() leaks history. A last input resets a pooled stack that served a
+// torture crash point (restored from a pilot checkpoint, crashed with a
+// broken recovery path installed, remounted), so state that a restore or a
+// crash leaves outside the component's state value shows up too.
 #include <gtest/gtest.h>
 
 #include <cinttypes>
@@ -27,6 +30,8 @@
 #include "sim/rng.hpp"
 #include "spec/campaign.hpp"
 #include "spec/obs_json.hpp"
+#include "torture/harness.hpp"
+#include "torture/torture_spec.hpp"
 
 namespace pofi::platform {
 namespace {
@@ -138,6 +143,47 @@ TEST(SessionFuzz, PooledResetMatchesFreshConstructionAcrossSpecs) {
     EXPECT_EQ(got.metrics, want.metrics)
         << "trial " << trial << " (" << entry.label << "): metric snapshot diverged";
     if (HasFatalFailure() || got.result != want.result) break;  // replay info above
+  }
+
+  // Last input: the pooled stack serves a torture crash point first, the way
+  // a shrink probe leaves it — pilot, restore the checkpoint nearest the
+  // middle of the schedule, crash there with kSkipLastJournalRecord
+  // installed, remount — and is then reset in place for a campaign.
+  {
+    auto entry = cases.front();  // golden: the 1 GB drive
+    entry.experiment.seed = 1 + fuzz.below(1U << 20);
+    entry.platform.metrics = true;
+    torture::TortureConfig crash;
+    crash.seed = entry.experiment.seed + 1;
+    crash.drive = entry.drive;
+    crash.platform = entry.platform;
+    crash.workload = entry.experiment.workload;
+    crash.requests = 24;
+    crash.break_recovery = true;
+
+    torture::CrashHarness harness(crash);
+    torture::SchedulePilot pilot;
+    const std::uint64_t events = harness.run_pilot(
+        runner::ExperimentSession::acquire(slot, crash.drive, crash.platform, crash.seed), pilot,
+        crash.snapshot_interval);
+    const auto rebuilds_before = runner::ExperimentSession::rebuild_count();
+    const std::uint64_t k = events / 2;
+    const torture::CrashOutcome crashed = harness.run_crash_point_from(
+        runner::ExperimentSession::acquire_for_restore(slot, crash.drive, crash.platform), pilot,
+        pilot.nearest_at_or_before(k), k);
+    ASSERT_TRUE(crashed.injected) << "the crash point must leave a crashed, remounted stack";
+
+    TestPlatform fresh(entry.drive, entry.platform, entry.experiment.seed);
+    const auto want = observe(fresh, entry, true);
+    TestPlatform& pooled = runner::ExperimentSession::acquire(
+        slot, entry.drive, entry.platform, entry.experiment.seed);
+    const auto got = observe(pooled, entry, true);
+    EXPECT_EQ(runner::ExperimentSession::rebuild_count(), rebuilds_before)
+        << "the crashed stack must be restored and reset in place, not rebuilt";
+    EXPECT_EQ(got.result, want.result)
+        << "seed " << entry.experiment.seed << ": reset after a crash point diverged from fresh";
+    EXPECT_EQ(got.trace, want.trace) << "reset after a crash point: blktrace diverged";
+    EXPECT_EQ(got.metrics, want.metrics) << "reset after a crash point: metrics diverged";
   }
 
   // The trial mix must actually have exercised the fallback path: with three
