@@ -64,7 +64,7 @@ TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
 # -fsanitize=undefined and run them with the golden resume gate.
 echo "==> UBSan: configure + build resilience + NAND arena + session tests (build-ubsan/, -DPOFI_SANITIZE=undefined)"
 cmake -B build-ubsan -S . -DPOFI_SANITIZE=undefined >/dev/null
-cmake --build build-ubsan -j "${JOBS}" --target runner_resilience_test spec_checkpoint_test determinism_golden_test obs_metrics_test obs_attribution_test nand_block_arena_test nand_chip_fuzz_test nand_alloc_test session_fuzz_test session_alloc_test snapshot_alloc_test torture_auditor_test torture_explorer_test platform_shadow_test ssd_cache_test sim_event_queue_test sim_property_test
+cmake --build build-ubsan -j "${JOBS}" --target runner_resilience_test spec_checkpoint_test determinism_golden_test obs_metrics_test obs_attribution_test nand_block_arena_test nand_chip_fuzz_test nand_alloc_test session_fuzz_test session_alloc_test snapshot_alloc_test torture_auditor_test torture_explorer_test platform_shadow_test ssd_cache_test sim_event_queue_test sim_property_test ftl_mapping_test ftl_property_test sim_alloc_test
 
 echo "==> UBSan: ctest (retry + checkpoint + resume determinism + obs codec + NAND arena + session reset)"
 # The session reset path is downcast + reseed + snapshot-restore arithmetic
@@ -74,10 +74,12 @@ echo "==> UBSan: ctest (retry + checkpoint + resume determinism + obs codec + NA
 # same stage: its zero-alloc proof, the restored sweeps against the frozen
 # full-replay goldens (TortureExplorer) and the restore-identity golden
 # (DeterminismGolden). The host-side dense state rides it too: the shadow
-# store's and the write cache's paged index arithmetic and bitmaps, and the
-# event heap's in-place compaction.
+# store's and the write cache's paged index arithmetic and bitmaps, the
+# event heap's in-place compaction, and the FTL mapping table's volatile-set
+# bitmasks and running counts (its differential fuzz, the FTL property tests
+# over it, and the zero-alloc proofs of its hot paths).
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}" \
   ctest --test-dir build-ubsan --output-on-failure -j "${JOBS}" \
-        -R 'RunnerResilience|CampaignStatusTaxonomy|JsonlProgressSink|Checkpoint|DeterminismGolden|ObsMetrics|ObsTrace|ObsAttribution|BlockArena|NandChipFuzz|NandChipTouchedBlocks|NandAllocFree|SessionFuzz|SessionAlloc|SnapshotAlloc|TortureAuditor|TortureExplorer|ShadowStore|WriteCache|EventQueue'
+        -R 'RunnerResilience|CampaignStatusTaxonomy|JsonlProgressSink|Checkpoint|DeterminismGolden|ObsMetrics|ObsTrace|ObsAttribution|BlockArena|NandChipFuzz|NandChipTouchedBlocks|NandAllocFree|SessionFuzz|SessionAlloc|SnapshotAlloc|TortureAuditor|TortureExplorer|ShadowStore|WriteCache|EventQueue|MappingTable|FtlReadYourWrites|FtlCrashConsistency|AllocFree'
 
 echo "==> all checks passed"

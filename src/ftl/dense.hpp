@@ -12,6 +12,9 @@
 // touched in clusters spread over a range too large for one flat array — a
 // fig6 working set spans 23.6M LPNs but a campaign writes a few percent of
 // them — so it uses PagedDense: a chunk directory over one contiguous pool.
+// The FTL's volatile-mapping set uses it too, releasing a chunk as soon as
+// its last entry commits, so its pool holds only what a power loss would
+// revert.
 #pragma once
 
 #include <algorithm>
@@ -35,11 +38,12 @@ void grow_dense(std::vector<T>& v, std::uint64_t index, std::uint64_t capacity_h
 /// hold the "never touched" value of each of its kChunkSize cells. Chunks
 /// are small because host writes land at random offsets: a 1-256 page
 /// request fills few cells of a large chunk, and the rest is wasted. Lookups
-/// are two indexed loads with no hashing. Chunks are never freed one by one:
-/// clear() drops them all and keeps every capacity, so a warmed array
-/// allocates nothing, and copy assignment (snapshot/restore) is two vector
-/// assignments. The directory grows to the largest index touched, so the
-/// index space must be bounded (a device's LPN range).
+/// are two indexed loads with no hashing. release() returns one chunk's slot
+/// to a free list that the next first touch reuses; clear() drops them all.
+/// Both keep every capacity, so a warmed array allocates nothing, and copy
+/// assignment (snapshot/restore) is three vector assignments. The directory
+/// grows to the largest index touched, so the index space must be bounded
+/// (a device's LPN range).
 template <typename Chunk>
 class PagedDense {
  public:
@@ -61,15 +65,30 @@ class PagedDense {
     return const_cast<Chunk*>(std::as_const(*this).find(index));
   }
 
-  /// Chunk holding `index`, allocated on first touch.
+  /// Chunk holding `index`, allocated on first touch (in a released slot
+  /// when there is one).
   Chunk& touch(std::uint64_t index) {
     const std::uint64_t d = index >> kChunkBits;
     grow_dense(dir_, d, ~std::uint64_t{0}, kNoChunk);
     if (dir_[d] == kNoChunk) {
-      dir_[d] = static_cast<std::uint32_t>(pool_.size());
-      pool_.emplace_back();
+      if (free_.empty()) {
+        dir_[d] = static_cast<std::uint32_t>(pool_.size());
+        pool_.emplace_back();
+      } else {
+        dir_[d] = free_.back();
+        free_.pop_back();
+        pool_[dir_[d]] = Chunk{};
+      }
     }
     return pool_[dir_[d]];
+  }
+
+  /// Forget the chunk holding `index`, as if none of its cells was touched.
+  void release(std::uint64_t index) {
+    const std::uint64_t d = index >> kChunkBits;
+    if (d >= dir_.size() || dir_[d] == kNoChunk) return;
+    free_.push_back(dir_[d]);
+    dir_[d] = kNoChunk;
   }
 
   /// Visit each touched chunk as fn(first_index, chunk), ascending.
@@ -79,11 +98,18 @@ class PagedDense {
       if (dir_[d] != kNoChunk) fn(d << kChunkBits, pool_[dir_[d]]);
     }
   }
+  template <class Fn>
+  void for_each_chunk(Fn&& fn) {
+    for (std::uint64_t d = 0; d < dir_.size(); ++d) {
+      if (dir_[d] != kNoChunk) fn(d << kChunkBits, pool_[dir_[d]]);
+    }
+  }
 
   /// Forget every chunk, keeping the directory's and the pool's capacity.
   void clear() {
     std::fill(dir_.begin(), dir_.end(), kNoChunk);
     pool_.clear();
+    free_.clear();
   }
 
  private:
@@ -91,6 +117,7 @@ class PagedDense {
 
   std::vector<std::uint32_t> dir_;  ///< index >> kChunkBits -> pool_ slot
   std::vector<Chunk> pool_;
+  std::vector<std::uint32_t> free_;  ///< released pool_ slots
 };
 
 }  // namespace pofi::ftl

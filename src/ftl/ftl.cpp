@@ -10,9 +10,12 @@
 namespace pofi::ftl {
 
 namespace {
-/// Content tags for journal pages live in a reserved namespace far away from
-/// anything the host-side shadow store allocates.
-constexpr std::uint64_t kJournalTagBase = 0x4A4F55524E414C00ULL;  // "JOURNAL\0"
+/// Content tags for journal pages live in a reserved namespace far above
+/// anything the host-side shadow store allocates (its tags count up from 1),
+/// yet inside 32 bits: the NAND arena then keeps them in its u32 content
+/// lane, where a wider tag would cost a side-table node per journal page.
+constexpr std::uint64_t kJournalTagBase = 0xF0000000ULL;
+constexpr std::uint64_t kJournalTagMask = 0x0FFFFFFFULL;  ///< batch id bits kept
 }  // namespace
 
 Ftl::Ftl(sim::Simulator& simulator, nand::ChipArray& chips, Config config)
@@ -92,7 +95,7 @@ void Ftl::write(Lpn lpn, std::uint64_t content, WriteCallback cb) {
     return;
   }
   const nand::Oob oob{lpn, state_.write_seq++};
-  if (config_.por_scan) state_.por_candidates.insert(chip_.geometry().block_of(*ppn));
+  mark_por_candidate(*ppn);
   if (config_.map_update_on_issue) {
     // Commodity behaviour: the L2P entry goes live (volatile) immediately;
     // the flash program races the next power fault.
@@ -135,6 +138,15 @@ void Ftl::invalidate(Ppn ppn) {
   if (ppn < state_.reverse_map.size()) state_.reverse_map[ppn] = kUnmappedLpn;
   const BlockId b = chip_.geometry().block_of(ppn);
   if (b < state_.valid_count.size() && state_.valid_count[b] > 0) --state_.valid_count[b];
+}
+
+void Ftl::mark_por_candidate(Ppn ppn) {
+  if (!config_.por_scan) return;
+  const BlockId b = chip_.geometry().block_of(ppn);
+  grow_dense(state_.por_candidate, b, chip_.geometry().total_blocks(), std::uint8_t{0});
+  if (state_.por_candidate[b] != 0) return;
+  state_.por_candidate[b] = 1;
+  ++state_.por_candidates;
 }
 
 void Ftl::make_valid(Lpn lpn, Ppn ppn) {
@@ -203,18 +215,25 @@ void Ftl::flush_all(std::function<void()> done) {
 void Ftl::persist_batch(std::uint64_t batch) {
   const auto ppn = state_.alloc.alloc_page(Stream::kJournal);
   if (!ppn.has_value()) {
-    // No journal space: the batch simply stays volatile (commit never runs).
+    // No journal space: the entries stay volatile, dirty again, and a later
+    // tick recuts them.
+    state_.map.abort_batch(batch);
     return;
   }
   journal_in_flight_ = true;
   const std::size_t entries = state_.map.batch_size(batch);
   const std::uint64_t cut_seq = state_.write_seq - 1;
   if (auto* m = sim_.metrics()) m->trace().begin(obs_span_journal_, sim_.now());
-  chip_.program(*ppn, kJournalTagBase | batch, [this, batch, entries,
-                                                cut_seq](nand::OpResult r) {
+  const std::uint64_t tag = kJournalTagBase | (batch & kJournalTagMask);
+  chip_.program(*ppn, tag, [this, batch, entries, cut_seq](nand::OpResult r) {
     journal_in_flight_ = false;
     if (auto* m = sim_.metrics()) m->trace().end(obs_span_journal_, sim_.now());
-    if (!r.ok()) return;  // batch stays volatile; next tick recuts it
+    if (!r.ok()) {
+      // The journal page failed: as above. After a power loss the batch is
+      // already reverted, and the abort is a no-op.
+      state_.map.abort_batch(batch);
+      return;
+    }
     // Batches commit in cut order (journal_in_flight_ serialises them), so
     // cut_seq is monotone and the horizon only advances. Record the newest
     // journaled LPN before the batch bookkeeping is consumed (fault hook).
@@ -231,7 +250,10 @@ void Ftl::persist_batch(std::uint64_t batch) {
     if (state_.map.volatile_count() == 0) {
       // Full checkpoint: everything stamped up to cut_seq is durable.
       state_.checkpoint_seq = cut_seq;
-      state_.por_candidates.clear();
+      if (state_.por_candidates != 0) {
+        std::fill(state_.por_candidate.begin(), state_.por_candidate.end(), std::uint8_t{0});
+        state_.por_candidates = 0;
+      }
     }
     // PLP/FLUSH drain: chase the map to fully-persisted.
     if ((state_.emergency || draining_) && state_.powered) journal_tick();
@@ -309,7 +331,7 @@ void Ftl::gc_relocate_next(BlockId victim, std::uint32_t page_index) {
       return;
     }
     const nand::Oob oob{lpn, state_.write_seq++};
-    if (config_.por_scan) state_.por_candidates.insert(chip_.geometry().block_of(*dst));
+    mark_por_candidate(*dst);
     chip_.program(*dst, r.content, oob, [this, victim, page_index, lpn, ppn,
                                          dst = *dst](nand::OpResult pr) {
       if (!state_.powered || !pr.ok()) {
@@ -370,9 +392,8 @@ void Ftl::on_power_lost() {
   for (const auto& r : reverted) {
     if (r.dropped_ppn.has_value()) invalidate(*r.dropped_ppn);
     if (r.restored_ppn.has_value()) make_valid(r.lpn, *r.restored_ppn);
-    state_.last_reverted_lpns.push_back(r.lpn);
+    state_.last_reverted_lpns.push_back(r.lpn);  // ascending: the table reverts in LPN order
   }
-  std::sort(state_.last_reverted_lpns.begin(), state_.last_reverted_lpns.end());
 
   // Deliberately broken recovery (torture self-tests): forget the newest
   // durably-journaled mapping without repairing valid counts or the reverse
@@ -393,20 +414,16 @@ void Ftl::on_power_good() {
 // --------------------------------------------------------- power-on recovery
 
 void Ftl::recover_por(std::function<void()> done) {
-  if (!config_.por_scan || state_.por_candidates.empty()) {
+  if (!config_.por_scan || state_.por_candidates == 0) {
     if (done) done();
     return;
   }
-  // Gather every page of every candidate block; the scan reads their spare
-  // areas through the normal chip path, so mount time grows realistically
-  // with the amount of unjournaled data.
-  // Scan in block order, not hash-set order: the candidate set's iteration
-  // order reflects its insertion/rehash history, which a snapshot restore
-  // cannot reproduce — and the scan order shapes the mount's event stream.
-  std::vector<BlockId> candidates(state_.por_candidates.begin(), state_.por_candidates.end());
-  std::sort(candidates.begin(), candidates.end());
+  // Gather every page of every candidate block, in block order; the scan
+  // reads their spare areas through the normal chip path, so mount time
+  // grows realistically with the amount of unjournaled data.
   auto pages = std::make_shared<std::vector<Ppn>>();
-  for (const BlockId b : candidates) {
+  for (BlockId b = 0; b < state_.por_candidate.size(); ++b) {
+    if (state_.por_candidate[b] == 0) continue;
     for (std::uint32_t p = 0; p < chip_.geometry().pages_per_block; ++p) {
       pages->push_back(chip_.geometry().first_page(b) + p);
     }

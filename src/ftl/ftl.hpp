@@ -12,7 +12,6 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "ftl/allocator.hpp"
@@ -137,7 +136,10 @@ class Ftl {
     std::vector<Lpn> last_reverted_lpns;  ///< declared FWA set, latest loss
     std::optional<Lpn> last_committed_lpn;  ///< newest journaled LPN (fault hook)
     TortureFault torture_fault = TortureFault::kNone;
-    std::unordered_set<BlockId> por_candidates;  ///< blocks with post-checkpoint data
+    /// Blocks with post-checkpoint data: a dense per-block flag (1 =
+    /// candidate) and the number of flags set.
+    std::vector<std::uint8_t> por_candidate;
+    std::size_t por_candidates = 0;
     /// Image only: snapshot() fills it; the live value's copy is never read.
     sim::TimerImage journal_timer;
   };
@@ -213,6 +215,8 @@ class Ftl {
   void finish_host_write(Lpn lpn, Ppn ppn, std::uint64_t content);
   void invalidate(Ppn ppn);
   void make_valid(Lpn lpn, Ppn ppn);
+  /// POR scan bookkeeping: `ppn`'s block now holds post-checkpoint data.
+  void mark_por_candidate(Ppn ppn);
 
   void schedule_journal_tick();
   void journal_tick();

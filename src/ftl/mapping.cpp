@@ -1,6 +1,7 @@
 #include "ftl/mapping.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace pofi::ftl {
 
@@ -31,29 +32,42 @@ void MappingTable::clear_slot(Lpn lpn) {
   }
 }
 
+template <class Fn>
+void MappingTable::change_frame(Frame& f, Fn&& change) {
+  if (withheld(f)) pending_withheld_ -= f.pending;
+  change(f);
+  if (withheld(f)) pending_withheld_ += f.pending;
+}
+
 void MappingTable::mark_dirty(Lpn lpn, std::optional<Ppn> old_value) {
-  auto it = volatile_.find(lpn);
-  if (it == volatile_.end()) {
-    volatile_.emplace(lpn, DirtyState{old_value, 0});
-    if (policy_ == MappingPolicy::kHybridExtent) {
-      // Frames close on stagnation only: an active sequential stream keeps
-      // its whole recent region volatile (the extent is still growing),
-      // while a random request's frames stop growing as soon as it drains.
-      Frame& f = frames_[frame_of(lpn)];
-      f.touched += 1;
-      f.dirty += 1;
-      if (f.closed) f.closed = false;  // the stream revisited: reopen
-    }
-    return;
-  }
-  if (it->second.batch != 0) {
-    // Re-dirtied while a batch holding the previous value is in flight: once
-    // that batch commits, the batched value (== current map_ value before
-    // this update) is the durable one.
-    it->second.persisted = old_value;
-    it->second.batch = 0;
-  }
-  // batch == 0: first-touch persisted value stands.
+  DirtyChunk& c = dirty_.touch(lpn);
+  const std::uint64_t bit = bit_of(lpn);
+  const bool first = (c.volatile_bits & bit) == 0;
+  // Already dirty and in no batch: the first-touch persisted value stands.
+  if (!first && (c.batched_bits & bit) == 0) return;
+  // First touch, or re-dirtied while a batch holding the previous value is
+  // in flight: once that batch commits, the batched value (== current map_
+  // value before this update) is the durable one. abort_batch() undoes the
+  // advance.
+  c.persisted[Dirty::offset(lpn)] = old_value.value_or(kUnmappedPpn);
+  c.volatile_bits |= bit;
+  c.batched_bits &= ~bit;
+  ++pending_;
+  if (first) ++volatile_count_;
+  if (policy_ != MappingPolicy::kHybridExtent) return;
+  // Frames close on stagnation only: an active sequential stream keeps its
+  // whole recent region volatile (the extent is still growing), while a
+  // random request's frames stop growing as soon as it drains.
+  const std::uint64_t frames_hint =
+      lpn_capacity_ != 0 ? (lpn_capacity_ - 1) / extent_pages_ + 1 : ~std::uint64_t{0};
+  grow_dense(frames_, lpn / extent_pages_, frames_hint, Frame{});
+  change_frame(frame_of(lpn), [first](Frame& f) {
+    ++f.pending;
+    if (!first) return;
+    ++f.touched;
+    ++f.dirty;
+    f.closed = false;  // the stream revisited: reopen
+  });
 }
 
 void MappingTable::update(Lpn lpn, Ppn ppn) {
@@ -68,118 +82,127 @@ void MappingTable::remove(Lpn lpn) {
   clear_slot(lpn);
 }
 
-bool MappingTable::withheld(Lpn lpn) const {
-  if (policy_ != MappingPolicy::kHybridExtent) return false;
-  const auto it = frames_.find(frame_of(lpn));
-  if (it == frames_.end()) return false;
-  const Frame& f = it->second;
-  return !f.closed && f.touched >= min_extent_fill_;
-}
-
-std::size_t MappingTable::committable_count() const {
-  std::size_t n = 0;
-  for (const auto& [lpn, st] : volatile_) {
-    if (st.batch != 0) continue;
-    if (withheld(lpn)) continue;
-    ++n;
-  }
-  return n;
-}
-
-std::size_t MappingTable::volatile_count() const { return volatile_.size(); }
+std::size_t MappingTable::committable_count() const { return pending_ - pending_withheld_; }
 
 std::size_t MappingTable::open_extents() const {
-  std::size_t n = 0;
-  for (const auto& [id, f] : frames_) {
-    if (!f.closed && f.touched >= min_extent_fill_) ++n;
-  }
-  return n;
+  return static_cast<std::size_t>(
+      std::count_if(frames_.begin(), frames_.end(), [this](const Frame& f) { return withheld(f); }));
 }
 
 std::uint64_t MappingTable::begin_persist_batch(bool include_withheld) {
+  // Nothing volatile means no frame holds an entry either: an idle journal
+  // tick costs O(1).
+  if (batch_ != 0 || volatile_count_ == 0) return 0;
   // Stagnation pass: a detected extent that stopped growing since the last
   // cut is an idle tail, not an active stream — close it.
-  if (policy_ == MappingPolicy::kHybridExtent) {
-    for (auto& [id, f] : frames_) {
-      if (f.closed) continue;
-      if (f.touched >= min_extent_fill_ && f.touched == f.at_last_cut) {
-        f.closed = true;
-        if (f.touched >= extent_pages_) ++extents_closed_full_;
+  for (Frame& f : frames_) {
+    if (f.dirty == 0 || f.closed) continue;
+    change_frame(f, [this](Frame& g) {
+      if (g.touched >= min_extent_fill_ && g.touched == g.at_last_cut) {
+        g.closed = true;
+        if (g.touched >= extent_pages_) ++extents_closed_full_;
       } else {
-        f.at_last_cut = f.touched;
+        g.at_last_cut = g.touched;
       }
+    });
+  }
+
+  if (pending_ == (include_withheld ? 0 : pending_withheld_)) return 0;
+  // The walk is in LPN order, which makes journal record order, and with it
+  // "the last journaled LPN", independent of the set's history.
+  batch_lpns_.clear();
+  batch_persisted_.clear();
+  dirty_.for_each_chunk([this, include_withheld](std::uint64_t base, DirtyChunk& c) {
+    for (std::uint64_t bits = c.volatile_bits & ~c.batched_bits; bits != 0; bits &= bits - 1) {
+      const Lpn lpn = base + static_cast<unsigned>(std::countr_zero(bits));
+      if (policy_ == MappingPolicy::kHybridExtent) {
+        Frame& f = frame_of(lpn);
+        if (!include_withheld && withheld(f)) continue;
+        change_frame(f, [](Frame& g) { --g.pending; });
+      }
+      c.batched_bits |= bits & -bits;
+      batch_lpns_.push_back(lpn);
+      batch_persisted_.push_back(c.persisted[Dirty::offset(lpn)]);
     }
-  }
-
-  std::vector<Lpn> members;
-  members.reserve(volatile_.size());
-  for (auto& [lpn, st] : volatile_) {
-    if (st.batch != 0) continue;
-    if (!include_withheld && withheld(lpn)) continue;
-    members.push_back(lpn);
-  }
-  if (members.empty()) return 0;
-  // Canonical cut order: volatile_ is a hash table, whose iteration order
-  // depends on its insertion/rehash history — state a snapshot restore
-  // cannot (and should not) reproduce. Journal record order, and with it
-  // "the last journaled LPN", must not depend on container history.
-  std::sort(members.begin(), members.end());
-  const std::uint64_t id = next_batch_++;
-  for (const Lpn lpn : members) volatile_[lpn].batch = id;
-  batches_.emplace(id, std::move(members));
-  return id;
-}
-
-std::size_t MappingTable::batch_size(std::uint64_t batch) const {
-  const auto it = batches_.find(batch);
-  return it == batches_.end() ? 0 : it->second.size();
-}
-
-void MappingTable::frame_entry_resolved(Lpn lpn) {
-  if (policy_ != MappingPolicy::kHybridExtent) return;
-  const auto it = frames_.find(frame_of(lpn));
-  if (it == frames_.end()) return;
-  Frame& f = it->second;
-  if (f.dirty > 0) --f.dirty;
-  // A fully drained frame is forgotten: `touched` must reflect the current
-  // burst, not the whole campaign, or random traffic would slowly be
-  // misclassified as sequential.
-  if (f.dirty == 0) frames_.erase(it);
+  });
+  pending_ -= batch_lpns_.size();
+  batch_ = next_batch_++;
+  return batch_;
 }
 
 void MappingTable::commit_batch(std::uint64_t batch) {
-  const auto it = batches_.find(batch);
-  if (it == batches_.end()) return;
-  for (const Lpn lpn : it->second) {
-    const auto vit = volatile_.find(lpn);
+  if (batch == 0 || batch != batch_) return;
+  for (const Lpn lpn : batch_lpns_) {
+    DirtyChunk& c = *dirty_.find(lpn);
+    const std::uint64_t bit = bit_of(lpn);
     // Skip entries re-dirtied after the batch was cut; they stay volatile
     // with their persisted value already advanced to the batched one.
-    if (vit != volatile_.end() && vit->second.batch == batch) {
-      volatile_.erase(vit);
-      frame_entry_resolved(lpn);
+    if ((c.batched_bits & bit) == 0) continue;
+    c.batched_bits &= ~bit;
+    c.volatile_bits &= ~bit;
+    --volatile_count_;
+    if (c.volatile_bits == 0) dirty_.release(lpn);
+    if (policy_ == MappingPolicy::kHybridExtent) {
+      change_frame(frame_of(lpn), [](Frame& f) {
+        if (--f.dirty == 0) f = Frame{};
+      });
     }
   }
-  batches_.erase(it);
+  batch_ = 0;
+  batch_lpns_.clear();
+  batch_persisted_.clear();
+}
+
+void MappingTable::abort_batch(std::uint64_t batch) {
+  if (batch == 0 || batch != batch_) return;
+  for (std::size_t i = 0; i < batch_lpns_.size(); ++i) {
+    const Lpn lpn = batch_lpns_[i];
+    DirtyChunk& c = *dirty_.find(lpn);
+    const std::uint64_t bit = bit_of(lpn);
+    if ((c.batched_bits & bit) == 0) {
+      // Re-dirtied after the cut: already pending, but its persisted value
+      // was advanced to a batched value that never became durable.
+      c.persisted[Dirty::offset(lpn)] = batch_persisted_[i];
+      continue;
+    }
+    c.batched_bits &= ~bit;
+    ++pending_;
+    if (policy_ == MappingPolicy::kHybridExtent) {
+      change_frame(frame_of(lpn), [](Frame& f) { ++f.pending; });
+    }
+  }
+  batch_ = 0;
+  batch_lpns_.clear();
+  batch_persisted_.clear();
 }
 
 std::vector<RevertedUpdate> MappingTable::on_power_lost() {
   std::vector<RevertedUpdate> reverted;
-  reverted.reserve(volatile_.size());
-  for (const auto& [lpn, st] : volatile_) {
-    RevertedUpdate r;
-    r.lpn = lpn;
-    r.dropped_ppn = lookup(lpn);
-    r.restored_ppn = st.persisted;
-    if (st.persisted.has_value()) {
-      set_slot(lpn, *st.persisted);
-    } else {
-      clear_slot(lpn);
+  reverted.reserve(volatile_count_);
+  dirty_.for_each_chunk([this, &reverted](std::uint64_t base, const DirtyChunk& c) {
+    for (std::uint64_t bits = c.volatile_bits; bits != 0; bits &= bits - 1) {
+      const auto i = static_cast<unsigned>(std::countr_zero(bits));
+      const Lpn lpn = base + i;
+      RevertedUpdate r;
+      r.lpn = lpn;
+      r.dropped_ppn = lookup(lpn);
+      if (c.persisted[i] != kUnmappedPpn) {
+        r.restored_ppn = c.persisted[i];
+        set_slot(lpn, c.persisted[i]);
+      } else {
+        clear_slot(lpn);
+      }
+      reverted.push_back(r);
     }
-    reverted.push_back(r);
-  }
-  volatile_.clear();
-  batches_.clear();
-  frames_.clear();
+  });
+  dirty_.clear();
+  std::fill(frames_.begin(), frames_.end(), Frame{});
+  volatile_count_ = 0;
+  pending_ = 0;
+  pending_withheld_ = 0;
+  batch_ = 0;
+  batch_lpns_.clear();
+  batch_persisted_.clear();
   return reverted;
 }
 

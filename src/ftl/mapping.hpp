@@ -13,12 +13,18 @@
 // based: the DRAM cache scrambles flush order, but a sequential host stream
 // still lands dense in LPN space, which is what real stream detectors key on.
 //
-// The L2P array itself is a dense std::vector<Ppn> (LPN space is dense and
-// its bound is known from device geometry), with kUnmappedPpn as the "no
-// mapping" sentinel — lookup and update on the IO hot path are a bounds
-// check and an array index, no hashing. Only the sparse *bookkeeping*
-// (volatile/dirty state, journal batches, extent frames) stays in hash maps;
-// those are touched per journal cycle, not per IO.
+// Every structure is dense and indexed, with no hashing on any path:
+//  - the L2P is a std::vector<Ppn> (LPN space is dense and its bound is known
+//    from device geometry), with kUnmappedPpn as the "no mapping" sentinel;
+//  - the volatile set is a PagedDense of 64-LPN chunks, each a volatile and
+//    a batched bitmask plus the persisted PPN to restore. A chunk is released
+//    when its last entry commits, so the pool holds what a power loss would
+//    revert; cuts and power losses walk it in LPN order;
+//  - extent frames are a frame-indexed array, grown on demand;
+//  - at most one journal batch is in flight, held as its LPN list.
+// committable_count(), which the FTL asks on every host write, is O(1): two
+// running counts (entries in no batch, and the share of those inside
+// withheld frames) are kept in step at every transition.
 //
 // The table is a plain value: the FTL checkpoints it by copy and resets it
 // by assigning the table it was built with (container assignment reuses the
@@ -26,11 +32,12 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "ftl/dense.hpp"
 #include "ftl/types.hpp"
 
 namespace pofi::ftl {
@@ -105,23 +112,31 @@ class MappingTable {
   void remove(Lpn lpn);
 
   // --- Journal interface ----------------------------------------------------
-  /// Move committable dirty entries into a persist batch. With the hybrid
-  /// policy, entries inside an open (still-growing) extent frame are NOT
-  /// committable until the frame fills or stagnates — unless
+  /// Move committable dirty entries into a persist batch, in LPN order. With
+  /// the hybrid policy, entries inside an open (still-growing) extent frame
+  /// are NOT committable until the frame fills or stagnates — unless
   /// `include_withheld` is set (PLP emergency shutdown persists everything).
-  /// Returns the batch id (0 if nothing to do).
+  /// Returns the batch id (0 if nothing to do). One batch is in flight at a
+  /// time: while one is, a cut returns 0 and changes nothing.
   [[nodiscard]] std::uint64_t begin_persist_batch(bool include_withheld = false);
   /// The journal page holding `batch` was durably programmed.
   void commit_batch(std::uint64_t batch);
-  [[nodiscard]] std::size_t batch_size(std::uint64_t batch) const;
+  /// The journal page holding `batch` will never be programmed: its entries
+  /// become dirty again and the next cut takes them. Every persisted value
+  /// stays what it was before the cut, re-dirtied entries' included. Unknown,
+  /// committed or reverted ids are a no-op.
+  void abort_batch(std::uint64_t batch);
+  [[nodiscard]] std::size_t batch_size(std::uint64_t batch) const {
+    return batch_lpns(batch).size();
+  }
 
   /// Number of updates that a power loss right now would revert.
-  [[nodiscard]] std::size_t volatile_count() const;
-  /// Dirty entries eligible for the next batch (open extents excluded).
+  [[nodiscard]] std::size_t volatile_count() const { return volatile_count_; }
+  /// Dirty entries eligible for the next batch (open extents excluded). O(1).
   [[nodiscard]] std::size_t committable_count() const;
 
-  /// Power loss: revert every volatile update (dirty + in-flight batches).
-  /// Returns the reverted updates for accounting repair.
+  /// Power loss: revert every volatile update (dirty + in-flight batch), in
+  /// LPN order. Returns the reverted updates for accounting repair.
   std::vector<RevertedUpdate> on_power_lost();
 
   [[nodiscard]] std::size_t entry_count() const { return mapped_count_; }
@@ -136,13 +151,15 @@ class MappingTable {
     }
   }
   /// True while a power loss right now would revert this LPN's mapping.
-  [[nodiscard]] bool entry_volatile(Lpn lpn) const { return volatile_.count(lpn) != 0; }
-  /// LPNs captured into an in-flight persist batch, in cut order. Empty for
-  /// unknown/committed batch ids.
+  [[nodiscard]] bool entry_volatile(Lpn lpn) const {
+    const DirtyChunk* c = dirty_.find(lpn);
+    return c != nullptr && (c->volatile_bits & bit_of(lpn)) != 0;
+  }
+  /// LPNs captured into the in-flight persist batch, ascending. Empty for
+  /// any other id (unknown, committed, aborted or reverted).
   [[nodiscard]] const std::vector<Lpn>& batch_lpns(std::uint64_t batch) const {
     static const std::vector<Lpn> kEmpty;
-    const auto it = batches_.find(batch);
-    return it == batches_.end() ? kEmpty : it->second;
+    return batch != 0 && batch == batch_ ? batch_lpns_ : kEmpty;
   }
 
   // --- Corruption hooks (tests + torture fault injection only) --------------
@@ -169,23 +186,42 @@ class MappingTable {
   [[nodiscard]] std::uint64_t extents_closed_full() const { return extents_closed_full_; }
 
  private:
-  struct DirtyState {
-    std::optional<Ppn> persisted;  ///< value to restore on revert
-    std::uint64_t batch = 0;       ///< 0 = dirty, else in-flight batch id
+  /// Volatile state of one chunk's 64 LPNs: a set bit in `volatile_bits` is
+  /// an update a power loss would revert to `persisted` (kUnmappedPpn = no
+  /// mapping); `batched_bits` marks the subset held by the in-flight batch.
+  struct DirtyChunk {
+    std::uint64_t volatile_bits = 0;
+    std::uint64_t batched_bits = 0;
+    std::array<Ppn, 64> persisted{};
   };
+  using Dirty = PagedDense<DirtyChunk>;
+  static_assert(Dirty::kChunkSize == 64, "one bitmask word per chunk");
+  /// A frame with no volatile entry is all zero (a drained frame is
+  /// forgotten: `touched` must reflect the current burst, not the whole
+  /// campaign, or random traffic would slowly be misclassified as
+  /// sequential).
   struct Frame {
     std::uint32_t touched = 0;      ///< monotone count of dirtied pages
-    std::uint32_t dirty = 0;        ///< currently volatile entries inside
+    std::uint32_t dirty = 0;        ///< volatile entries inside
+    std::uint32_t pending = 0;      ///< of those, entries in no batch
     std::uint32_t at_last_cut = 0;  ///< `touched` at the previous batch cut
     bool closed = false;            ///< journalable
   };
 
   static constexpr std::uint64_t kEagerInitLpns = 1ULL << 20;  ///< 8 MiB of slots
 
+  [[nodiscard]] static std::uint64_t bit_of(Lpn lpn) {
+    return std::uint64_t{1} << Dirty::offset(lpn);
+  }
   void mark_dirty(Lpn lpn, std::optional<Ppn> old_value);
-  [[nodiscard]] std::uint64_t frame_of(Lpn lpn) const { return lpn / extent_pages_; }
-  [[nodiscard]] bool withheld(Lpn lpn) const;
-  void frame_entry_resolved(Lpn lpn);
+  [[nodiscard]] Frame& frame_of(Lpn lpn) { return frames_[lpn / extent_pages_]; }
+  /// An open extent: its pending entries are withheld from the journal.
+  [[nodiscard]] bool withheld(const Frame& f) const {
+    return f.dirty != 0 && !f.closed && f.touched >= min_extent_fill_;
+  }
+  /// Apply `change` to `f`, keeping pending_withheld_ in step.
+  template <class Fn>
+  void change_frame(Frame& f, Fn&& change);
 
   /// Grow the dense array to cover `lpn` (geometric, clamped to capacity
   /// when that suffices). Steady state never takes this path.
@@ -200,11 +236,17 @@ class MappingTable {
 
   std::vector<Ppn> map_;  ///< dense L2P; kUnmappedPpn = no mapping
   std::size_t mapped_count_ = 0;
-  std::unordered_map<Lpn, DirtyState> volatile_;  ///< first-touch persisted values
-  std::unordered_map<std::uint64_t, std::vector<Lpn>> batches_;
+
+  Dirty dirty_;  ///< volatile set; a chunk lives while it has an entry
+  std::size_t volatile_count_ = 0;
+  std::size_t pending_ = 0;           ///< volatile entries in no batch
+  std::size_t pending_withheld_ = 0;  ///< of those, entries in withheld frames
+  std::uint64_t batch_ = 0;           ///< in-flight batch id, 0 = none
+  std::vector<Lpn> batch_lpns_;       ///< its LPNs, ascending
+  std::vector<Ppn> batch_persisted_;  ///< their persisted values at the cut
   std::uint64_t next_batch_ = 1;
 
-  std::unordered_map<std::uint64_t, Frame> frames_;
+  std::vector<Frame> frames_;  ///< hybrid policy only; lpn / extent_pages_
   std::uint64_t extents_closed_full_ = 0;
 };
 

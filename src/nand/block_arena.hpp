@@ -23,10 +23,10 @@
 //
 // 64-bit narrowing is exact, not lossy: content tags are allocated
 // sequentially by the shadow store and OOB sequence numbers count host
-// writes, so they fit u32 for any simulatable run; the rare wide values
-// (journal tags ORed with a high marker, ~0 sentinels) divert to the
-// overflow side table via in-band markers. Decoding reproduces the original
-// u64 bit-for-bit in every case.
+// writes, and the FTL's journal tags are kept below 2^32 too, so they fit
+// u32 for any simulatable run; ~0 sentinels have their own in-band marker,
+// and the rare wide values divert to the overflow side table via another.
+// Decoding reproduces the original u64 bit-for-bit in every case.
 //
 // The arena is a plain value: the owning die checkpoints it by copy (vector
 // and map assignment reuse the target's capacity, so warmed snapshots

@@ -203,6 +203,41 @@ TEST(Ftl, EmergencyModePersistsEverything) {
   }
 }
 
+// A journal page that fails to program (here: the journal opens a block
+// that was forced back into the free pool with data still on it) returns
+// its batch to the dirty set: the next cut takes the same entries and a
+// host FLUSH drains.
+TEST(Ftl, FailedJournalProgramReturnsBatchToDirtySet) {
+  Ftl::Config cfg;
+  cfg.journal_interval = Duration::sec(100);  // cuts only when asked
+  Harness h(cfg, /*channels=*/1);
+  for (Lpn lpn = 0; lpn < 4; ++lpn) ASSERT_TRUE(h.write_sync(lpn, 0x700 + lpn));
+  const auto& geom = h.chip.geometry();
+  const Ppn used = *h.ftl.mapping().lookup(0);
+  h.ftl.debug_allocator().debug_force_free(geom.block_of(used), geom.plane_of(used));
+  const MappingTable& map = h.ftl.mapping();
+  ASSERT_EQ(map.committable_count(), 4u);
+
+  h.ftl.flush_journal_now();  // the journal page lands on a programmed page
+  h.sim.run_for(Duration::ms(20));
+  EXPECT_EQ(h.chip.stats().order_violations, 1u);
+  EXPECT_EQ(h.ftl.stats().journal_flushes, 0u);
+  EXPECT_TRUE(h.ftl.quiescent());
+  EXPECT_EQ(map.committable_count(), 4u);
+  EXPECT_EQ(map.volatile_count(), 4u);
+
+  bool flushed = false;
+  h.ftl.flush_all([&] { flushed = true; });
+  h.run_until([&] { return flushed; });
+  EXPECT_TRUE(flushed);
+  EXPECT_EQ(map.volatile_count(), 0u);
+  EXPECT_EQ(h.ftl.stats().journal_entries_persisted, 4u);
+  h.power_cycle();
+  for (Lpn lpn = 0; lpn < 4; ++lpn) {
+    EXPECT_EQ(h.read_sync(lpn), std::optional<std::uint64_t>(0x700 + lpn));
+  }
+}
+
 TEST(Ftl, MapOnCompletionModeSurvivesInterruptedProgramCleanly) {
   Ftl::Config cfg;
   cfg.map_update_on_issue = false;

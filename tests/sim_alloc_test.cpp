@@ -114,23 +114,43 @@ TEST(AllocFree, EventKernelSteadyStateAllocatesNothing) {
 
 TEST(AllocFree, MappingHotPathsAllocateNothing) {
   constexpr std::uint64_t kLpns = 1 << 16;
-  ftl::MappingTable map(ftl::MappingPolicy::kPageLevel, 64, 16, kLpns);
+  for (const auto policy : {ftl::MappingPolicy::kPageLevel, ftl::MappingPolicy::kHybridExtent}) {
+    ftl::MappingTable map(policy, 64, 16, kLpns);
 
-  // Populate every LPN and make a volatile set that stays dirty (batch == 0),
-  // the state a busy drive sits in between journal ticks.
-  for (std::uint64_t l = 0; l < kLpns; ++l) map.update(l, l + 1);
+    // Populate every LPN and make a volatile set that stays dirty (batch ==
+    // 0), the state a busy drive sits in between journal ticks.
+    for (std::uint64_t l = 0; l < kLpns; ++l) map.update(l, l + 1);
 
-  const std::uint64_t before = allocs_now();
-  std::uint64_t acc = 0;
-  for (std::uint64_t i = 0; i < 100000; ++i) {
-    const auto hit = map.lookup(i * 2654435761u % kLpns);  // read path
-    if (hit.has_value()) acc += *hit;
-    map.update(i % kLpns, i);  // re-dirty path: entry already volatile
+    std::uint64_t before = allocs_now();
+    std::uint64_t acc = 0;
+    for (std::uint64_t i = 0; i < 100000; ++i) {
+      const auto hit = map.lookup(i * 2654435761u % kLpns);  // read path
+      if (hit.has_value()) acc += *hit;
+      map.update(i % kLpns, i);  // re-dirty path: entry already volatile
+    }
+    EXPECT_EQ(allocs_now() - before, 0u) << "lookup and re-dirty update must not touch the heap";
+    EXPECT_GT(acc, 0u);
+
+    // Journal cycles on a warmed table: first-touch dirtying of LPNs whose
+    // entries committed (and whose chunks were released), a batch cut with
+    // and without the withheld extents, a commit, and a cut returned by
+    // abort. The first cycle sizes the batch and the chunk free list.
+    const auto cycle = [&map](std::uint64_t round) {
+      map.commit_batch(map.begin_persist_batch(/*include_withheld=*/true));
+      for (std::uint64_t i = 0; i < 4096; ++i) {
+        map.update((i * 2654435761u + round) % kLpns, round * kLpns + i);
+      }
+      map.abort_batch(map.begin_persist_batch());
+      map.commit_batch(map.begin_persist_batch(/*include_withheld=*/true));
+      return map.volatile_count();
+    };
+    std::uint64_t left = cycle(1);
+    before = allocs_now();
+    for (std::uint64_t round = 2; round < 10; ++round) left += cycle(round);
+    EXPECT_EQ(allocs_now() - before, 0u)
+        << "first-touch dirtying, batch cut, abort and commit must not touch the heap";
+    EXPECT_EQ(left, 0u);
   }
-  const std::uint64_t after = allocs_now();
-  EXPECT_EQ(after - before, 0u)
-      << "lookup and re-dirty update must not touch the heap";
-  EXPECT_GT(acc, 0u);
 }
 
 TEST(AllocFree, IoCompletionCallbacksAllocateNothing) {
@@ -215,12 +235,12 @@ TEST(AllocFree, CacheFlushCompletionAllocatesNothing) {
   // Every write-cache flush hands Ftl::write a completion of type
   // ftl::Ftl::WriteCallback (a std::function). The cache's closure is a
   // pointer plus the slot and the low half of the dirtying's seq: 16
-  // trivially copyable bytes, which std::function stores inline. The FTL's
-  // own bookkeeping allocates on some writes, so the proof is differential:
-  // a round of flush-shaped writes through a powered FTL, into the NAND
-  // program completion and back, allocates exactly as much as a round with a
-  // capture-less completion. A control closure wider than any
-  // std::function buffer shows the counter sees one allocation per write.
+  // trivially copyable bytes, which std::function stores inline. A warm
+  // round of capture-less writes through a powered FTL, into the NAND
+  // program completion and back, with a journal tick and its commit,
+  // allocates nothing; a round of flush-shaped writes allocates exactly as
+  // much. A control closure wider than any std::function buffer shows the
+  // counter sees one allocation per write.
   struct FlushCapture {
     std::uint64_t* done;
     std::uint32_t slot, seq_low;
@@ -271,6 +291,8 @@ TEST(AllocFree, CacheFlushCompletionAllocatesNothing) {
 
   const std::uint64_t done_before = done;
   const std::uint64_t bare_allocs = round(bare);
+  EXPECT_EQ(bare_allocs, 0u) << "a warm round of FTL writes, journal tick and commit must "
+                                "not touch the heap";
   EXPECT_EQ(round(flush_shaped), bare_allocs)
       << "a cache flush's completion must not touch the heap";
   EXPECT_EQ(round(wide), bare_allocs + kWrites)
