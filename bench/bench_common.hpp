@@ -125,21 +125,13 @@ inline SpecRun run_spec_campaign(const spec::CampaignSpec& campaign, const char*
   SpecRun run;
   run.checkpoint_path = options.checkpoint_path;
   auto outcomes = spec::run_campaign(campaign, options);
-  for (auto& out : outcomes) {
-    switch (out.status) {
-      case runner::CampaignStatus::kOk: ++run.ok; break;
-      case runner::CampaignStatus::kRetriedOk: ++run.retried; break;
-      case runner::CampaignStatus::kTimedOut: ++run.timed_out; break;
-      case runner::CampaignStatus::kSkippedCached: ++run.restored; break;
-      case runner::CampaignStatus::kFailed:
-        throw std::runtime_error("campaign \"" + out.label + "\" failed: " + out.error);
-      case runner::CampaignStatus::kQuarantined:
-        throw std::runtime_error("campaign \"" + out.label + "\" quarantined after " +
-                                 std::to_string(out.attempts) + " attempt(s): " + out.error);
-      default: continue;  // skipped / cancelled / pending: no row
-    }
-    run.rows.push_back({std::move(out.label), std::move(out.result)});
+  for (const auto& out : outcomes) {
+    run.ok += out.status == runner::CampaignStatus::kOk;
+    run.retried += out.status == runner::CampaignStatus::kRetriedOk;
+    run.timed_out += out.status == runner::CampaignStatus::kTimedOut;
+    run.restored += out.status == runner::CampaignStatus::kSkippedCached;
   }
+  run.rows = platform::CampaignSuite::rows_from(std::move(outcomes));
   return run;
 }
 

@@ -48,7 +48,11 @@ std::vector<runner::CampaignRunner::Outcome> CampaignSuite::run_outcomes(
 
 std::vector<CampaignSuite::Row> CampaignSuite::run_all(const runner::RunnerConfig& config,
                                                        runner::ProgressSink* sink) {
-  auto outcomes = run_outcomes(config, sink);
+  return rows_from(run_outcomes(config, sink));
+}
+
+std::vector<CampaignSuite::Row> CampaignSuite::rows_from(
+    std::vector<runner::CampaignRunner::Outcome> outcomes) {
   std::vector<Row> rows;
   rows.reserve(outcomes.size());
   for (auto& o : outcomes) {
@@ -64,6 +68,10 @@ std::vector<CampaignSuite::Row> CampaignSuite::run_all(const runner::RunnerConfi
       case runner::CampaignStatus::kQuarantined:
         throw std::runtime_error("campaign '" + o.label + "' quarantined after " +
                                  std::to_string(o.attempts) + " attempt(s): " + o.error);
+      case runner::CampaignStatus::kAuditFailed:
+        // The result is a bug report, not a measurement: never a row.
+        throw std::runtime_error("campaign '" + o.label + "' failed its recovery audit: " +
+                                 o.error);
       case runner::CampaignStatus::kCancelled:
       case runner::CampaignStatus::kSkipped:
       case runner::CampaignStatus::kPending:

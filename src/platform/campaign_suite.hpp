@@ -62,6 +62,13 @@ class CampaignSuite {
   [[nodiscard]] std::vector<Row> run_all(const runner::RunnerConfig& config,
                                          runner::ProgressSink* sink = nullptr);
 
+  /// Fold a run's outcomes into rows, in order: each successful entry
+  /// (is_success) gives a row, an entry that fail-fast or cancellation
+  /// stopped gives none, and a failed, quarantined or audit-failed entry
+  /// throws std::runtime_error naming its label.
+  [[nodiscard]] static std::vector<Row> rows_from(
+      std::vector<runner::CampaignRunner::Outcome> outcomes);
+
   /// Like run_all(config, sink) but never throws on campaign failure:
   /// returns the full per-campaign outcome vector (status, wall time, error).
   [[nodiscard]] std::vector<runner::CampaignRunner::Outcome> run_outcomes(

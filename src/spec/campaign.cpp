@@ -340,21 +340,7 @@ std::vector<runner::CampaignRunner::Outcome> run_campaign(const CampaignSpec& sp
 
 std::vector<platform::CampaignSuite::Row> run_campaign_rows(const CampaignSpec& spec,
                                                             runner::ProgressSink* sink) {
-  auto outcomes = run_campaign(spec, sink);
-  std::vector<platform::CampaignSuite::Row> rows;
-  rows.reserve(outcomes.size());
-  for (auto& out : outcomes) {
-    if (out.status == runner::CampaignStatus::kFailed) {
-      throw std::runtime_error("campaign \"" + out.label + "\" failed: " + out.error);
-    }
-    if (out.status == runner::CampaignStatus::kQuarantined) {
-      throw std::runtime_error("campaign \"" + out.label + "\" quarantined after " +
-                               std::to_string(out.attempts) + " attempt(s): " + out.error);
-    }
-    if (!runner::is_success(out.status)) continue;  // skipped / cancelled / pending
-    rows.push_back({std::move(out.label), std::move(out.result)});
-  }
-  return rows;
+  return platform::CampaignSuite::rows_from(run_campaign(spec, sink));
 }
 
 }  // namespace pofi::spec

@@ -122,8 +122,9 @@ struct RunCampaignOptions {
 [[nodiscard]] std::vector<runner::CampaignRunner::Outcome> run_campaign(
     const CampaignSpec& spec, const RunCampaignOptions& options);
 
-/// run_campaign + failure check: throws std::runtime_error on the first
-/// failed entry, otherwise returns summary-table rows in entry order.
+/// run_campaign folded by CampaignSuite::rows_from: throws std::runtime_error
+/// on the first failed, quarantined or audit-failed entry, otherwise returns
+/// summary-table rows in entry order.
 [[nodiscard]] std::vector<platform::CampaignSuite::Row> run_campaign_rows(
     const CampaignSpec& spec, runner::ProgressSink* sink = nullptr);
 

@@ -118,5 +118,45 @@ TEST(CampaignSuite, RunOutcomesReportsPerCampaignStatus) {
   EXPECT_EQ(outcomes[0].result.faults_injected, 4u);
 }
 
+// The outcome -> rows fold on a synthetic outcome of every status: no
+// campaign path produces kAuditFailed today, so only this test reaches it.
+TEST(CampaignSuite, RowsFromFoldsEveryStatus) {
+  using runner::CampaignStatus;
+  for (const CampaignStatus status : runner::kCampaignStatuses) {
+    SCOPED_TRACE(runner::to_string(status));
+    std::vector<runner::CampaignRunner::Outcome> outcomes(2);
+    outcomes[0].label = "clean";
+    outcomes[0].status = CampaignStatus::kOk;
+    outcomes[0].result.name = "clean";
+    outcomes[1].label = "probe";
+    outcomes[1].status = status;
+    outcomes[1].result.name = "probe";
+    outcomes[1].error = "boom";
+
+    const bool throws = status == CampaignStatus::kFailed ||
+                        status == CampaignStatus::kQuarantined ||
+                        status == CampaignStatus::kAuditFailed;
+    if (throws) {
+      try {
+        (void)CampaignSuite::rows_from(std::move(outcomes));
+        FAIL() << "expected std::runtime_error";
+      } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("'probe'"), std::string::npos) << what;
+        EXPECT_NE(what.find("boom"), std::string::npos) << what;
+      }
+      continue;
+    }
+    const auto rows = CampaignSuite::rows_from(std::move(outcomes));
+    const std::size_t want = runner::is_success(status) ? 2 : 1;
+    ASSERT_EQ(rows.size(), want);
+    EXPECT_EQ(rows[0].label, "clean");
+    if (want == 2) {
+      EXPECT_EQ(rows[1].label, "probe");
+      EXPECT_EQ(rows[1].result.name, "probe");
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pofi::platform
