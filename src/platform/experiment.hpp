@@ -25,6 +25,14 @@ enum class FaultMode : std::uint8_t {
   kFixedDelayAfterAck,
 };
 
+[[nodiscard]] constexpr const char* to_string(FaultMode m) {
+  switch (m) {
+    case FaultMode::kRandomDuringWorkload: return "random-during-workload";
+    case FaultMode::kFixedDelayAfterAck: return "fixed-delay-after-ack";
+  }
+  return "?";
+}
+
 struct ExperimentSpec {
   std::string name = "experiment";
   workload::WorkloadConfig workload;

@@ -5,11 +5,7 @@
 namespace pofi::runner {
 
 bool status_from_string(std::string_view name, CampaignStatus& out) {
-  for (const CampaignStatus s :
-       {CampaignStatus::kPending, CampaignStatus::kOk, CampaignStatus::kRetriedOk,
-        CampaignStatus::kFailed, CampaignStatus::kTimedOut, CampaignStatus::kQuarantined,
-        CampaignStatus::kCancelled, CampaignStatus::kSkipped,
-        CampaignStatus::kSkippedCached, CampaignStatus::kAuditFailed}) {
+  for (const CampaignStatus s : kCampaignStatuses) {
     if (name == to_string(s)) {
       out = s;
       return true;

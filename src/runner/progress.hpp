@@ -62,6 +62,14 @@ enum class CampaignStatus : std::uint8_t {
   return "?";
 }
 
+/// Every status, in declaration order.
+inline constexpr CampaignStatus kCampaignStatuses[] = {
+    CampaignStatus::kPending,   CampaignStatus::kOk,          CampaignStatus::kRetriedOk,
+    CampaignStatus::kFailed,    CampaignStatus::kTimedOut,    CampaignStatus::kQuarantined,
+    CampaignStatus::kCancelled, CampaignStatus::kSkipped,     CampaignStatus::kSkippedCached,
+    CampaignStatus::kAuditFailed,
+};
+
 /// Parse a to_string(CampaignStatus) form back; returns false on unknown
 /// names (checkpoint files from other builds degrade gracefully).
 [[nodiscard]] bool status_from_string(std::string_view name, CampaignStatus& out);

@@ -1,6 +1,10 @@
 // JSON codecs for every public configuration struct in the stack.
 //
-// Conventions, applied uniformly:
+// Each struct's codec is one field list (spec/fields.hpp): a single function
+// that names every JSON key once, beside its member and its constraint
+// (integer or double range, duration unit, enumerator list, nested struct).
+// to_json and apply_json are two walkers over that list, so the conventions
+// below hold for every struct by construction:
 //
 //   * apply_json(cfg, v) treats `cfg` as the base and overrides only the keys
 //     present in `v` — every field is optional, defaults come from the C++
@@ -8,10 +12,11 @@
 //   * Unknown keys are hard errors naming the key and its source line; typos
 //     never silently no-op.
 //   * Out-of-range and wrong-typed values are errors naming the key, the
-//     expected type/range, and the line.
+//     expected type/range, and the line. An enum's accepted strings are its
+//     to_string forms.
 //   * Durations carry their unit in the key name ("hold_time_ms",
 //     "command_latency_us") and round-trip losslessly for any value below
-//     ~11 simulated days.
+//     ~104 simulated days (2^53 ns).
 //   * to_json(cfg) emits every field, so dump(to_json(cfg)) is the complete,
 //     canonical record of a configuration.
 #pragma once
@@ -49,9 +54,10 @@ void apply_json(ssd::SsdConfig& cfg, const Value& v);
 
 /// Drive spec: either a full SsdConfig object, or the preset form
 ///   {"preset": "A", "cache_enabled": false, "capacity_gb": 8, ...}
-/// which builds the Table I preset and then applies any remaining SsdConfig
-/// keys (plus the preset-only knobs "por_scan", "preage_pe_cycles",
-/// "mapping_policy", "capacity_gb") as overrides on top of it.
+/// which builds the Table I preset from the keys ssd::PresetOptions lists
+/// ("cache_enabled", "plp", "por_scan", "preage_pe_cycles",
+/// "mapping_policy", "capacity_gb") and then applies every other key as an
+/// SsdConfig override on top of it.
 [[nodiscard]] ssd::SsdConfig drive_from_json(const Value& v);
 
 // --- psu / platform ---------------------------------------------------------
@@ -75,7 +81,7 @@ void apply_json(platform::ExperimentSpec& spec, const Value& v);
 [[nodiscard]] Value to_json(const runner::RunnerConfig& cfg);
 void apply_json(runner::RunnerConfig& cfg, const Value& v);
 
-// --- low-level typed readers (shared with campaign.cpp; exposed for tests) --
+// --- low-level typed readers (field lists, campaign.cpp, examples, tests) ---
 /// Walk an object's members, dispatching each key through `handler(key,
 /// value)`; handler returns false for unrecognised keys, which raises the
 /// unknown-key error with the value's line.
@@ -93,6 +99,8 @@ void for_each_member(const Value& v, const std::string& context,
 [[nodiscard]] std::string read_string(const Value& v, const std::string& key);
 [[nodiscard]] sim::Duration read_duration_ms(const Value& v, const std::string& key);
 [[nodiscard]] sim::Duration read_duration_us(const Value& v, const std::string& key);
+/// A content hash in its hash_string form, "fnv1a:<16 hex>".
+[[nodiscard]] std::uint64_t read_content_hash(const Value& v, const std::string& key);
 [[nodiscard]] double duration_to_ms(sim::Duration d);
 [[nodiscard]] double duration_to_us(sim::Duration d);
 
