@@ -1,20 +1,28 @@
 // Randomised round-trip and mutation fuzzing for the spec JSON layer.
 //
-// Two deterministic loops (seeded sim::Rng, no wall clock):
+// Three deterministic loops (seeded sim::Rng, no wall clock):
 //   * round-trip: random document trees must survive dump() → parse() with
 //     value AND kind equality, and canonical() must be a fixed point;
 //   * mutation: corrupted serialisations must either parse or throw
-//     spec::Error — never crash, never throw anything else.
+//     spec::Error — never crash, never throw anything else;
+//   * codec mutation: one leaf of a committed campaign or torture spec, or
+//     of a checkpoint line, gets a random kind, value or key name; the codec
+//     must then load it or throw spec::Error naming the offending key.
 //
 // Iteration count comes from $POFI_FUZZ_ITERS (default 200 per loop, kept
 // small for ctest); scripts/check.sh runs a longer soak.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <string>
+#include <vector>
 
 #include "sim/rng.hpp"
+#include "spec/campaign.hpp"
+#include "spec/checkpoint.hpp"
 #include "spec/value.hpp"
+#include "torture/torture_spec.hpp"
 
 namespace pofi::spec {
 namespace {
@@ -123,6 +131,125 @@ TEST(SpecFuzz, MutatedDocumentsNeverCrashTheParser) {
   }
   // Sanity: the mutator must actually exercise both outcomes.
   EXPECT_GT(parsed + rejected, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+enum class DocKind { kCampaign, kTorture, kCheckpoint };
+
+struct FuzzDoc {
+  std::string name;
+  DocKind kind;
+  Value doc;
+};
+
+/// Every committed spec that loads as a campaign or a torture document (the
+/// params docs of the manual examples load as neither), plus one checkpoint
+/// line that carries every optional result key.
+std::vector<FuzzDoc> codec_corpus() {
+  std::vector<FuzzDoc> out;
+  const char* env = std::getenv("POFI_SPEC_DIR");
+  for (const auto& e : std::filesystem::directory_iterator(env != nullptr ? env : POFI_SPEC_DIR)) {
+    if (e.path().extension() != ".json") continue;
+    Value doc = parse_file(e.path().string());
+    const std::string name = e.path().filename().string();
+    try {
+      (void)load_campaign(doc);
+      out.push_back({name, DocKind::kCampaign, std::move(doc)});
+      continue;
+    } catch (const Error&) {
+    }
+    try {
+      (void)torture::load_torture(doc);
+      out.push_back({name, DocKind::kTorture, std::move(doc)});
+    } catch (const Error&) {
+    }
+  }
+  CheckpointRecord rec;
+  rec.spec_hash = 0x0123456789ABCDEFULL;
+  rec.label = "unit-1";
+  rec.status = runner::CampaignStatus::kRetriedOk;
+  rec.result.audit_violations = 1;
+  rec.result.metrics.counters = {{"ssd.cache.dirty_lost", 3}};
+  platform::FailureRecord f;
+  f.type = platform::FailureType::kFwa;
+  rec.result.failures = {f, f};
+  out.push_back({"checkpoint line", DocKind::kCheckpoint, parse(canonical(to_json(rec)))});
+  return out;
+}
+
+struct Leaf {
+  Value* value;
+  std::string* key;  ///< the member key holding it; null for array items
+};
+
+void collect_leaves(Value& v, std::string* key, std::vector<Leaf>& out) {
+  if (v.is_object()) {
+    for (auto& [k, m] : v.members()) collect_leaves(m, &k, out);
+  } else if (v.is_array()) {
+    for (Value& item : v.items()) collect_leaves(item, nullptr, out);
+  } else {
+    out.push_back({&v, key});
+  }
+}
+
+/// Same kind, new value; small integers half the time so ranges are probed
+/// from both sides.
+Value perturb(const Value& v, sim::Rng& rng) {
+  switch (v.kind()) {
+    case Value::Kind::kBool: return Value(!v.as_bool());
+    case Value::Kind::kUInt:
+      return Value(rng.chance(0.5) ? rng.below(64) : rng.next());
+    case Value::Kind::kDouble: return Value((rng.uniform() - 0.5) * 1e3);
+    case Value::Kind::kString: return Value(random_string(rng));
+    default: return random_value(rng, 1);
+  }
+}
+
+TEST(SpecFuzz, MutatedSpecLeavesLoadOrNameTheKey) {
+  const std::vector<FuzzDoc> corpus = codec_corpus();
+  std::size_t kinds[3] = {0, 0, 0};
+  for (const FuzzDoc& d : corpus) ++kinds[static_cast<int>(d.kind)];
+  ASSERT_GT(kinds[static_cast<int>(DocKind::kCampaign)], 0u);
+  ASSERT_GT(kinds[static_cast<int>(DocKind::kTorture)], 0u);
+
+  const int iters = fuzz_iters();
+  sim::Rng rng(0xC0DEC0DEULL);
+  int loaded = 0;
+  int rejected = 0;
+  for (int i = 0; i < iters; ++i) {
+    const FuzzDoc& source = corpus[static_cast<std::size_t>(i) % corpus.size()];
+    SCOPED_TRACE(source.name + " #" + std::to_string(i));
+    Value doc = source.doc;
+    std::vector<Leaf> leaves;
+    collect_leaves(doc, nullptr, leaves);
+    ASSERT_FALSE(leaves.empty());
+    const Leaf leaf = leaves[rng.below(leaves.size())];
+    switch (rng.below(3)) {
+      case 0: *leaf.value = random_value(rng, 1); break;
+      case 1: *leaf.value = perturb(*leaf.value, rng); break;
+      default:
+        if (leaf.key != nullptr) {
+          *leaf.key = "k" + random_string(rng);  // non-empty, so it can be named
+        } else {
+          *leaf.value = random_value(rng, 1);
+        }
+        break;
+    }
+
+    try {
+      switch (source.kind) {
+        case DocKind::kCampaign: (void)load_campaign(doc); break;
+        case DocKind::kTorture: (void)torture::load_torture(doc); break;
+        case DocKind::kCheckpoint: (void)checkpoint_record_from_json(doc); break;
+      }
+      ++loaded;
+    } catch (const Error& e) {
+      ASSERT_FALSE(e.where().empty()) << e.what() << "\n" << dump(doc);
+      ++rejected;
+    }
+    // Any other exception escapes the harness and fails the test.
+  }
+  EXPECT_GT(loaded, 0);
   EXPECT_GT(rejected, 0);
 }
 
