@@ -377,11 +377,13 @@ ssd::SsdConfig drive_from_json(const Value& v) {
                     at < 64 ? std::uint64_t{1} << at : 0);
   Fields<ssd::PresetOptions>::list(opts, knobs);
   ssd::SsdConfig cfg = ssd::make_preset(model, opts);
-  if (static_cast<std::size_t>(std::popcount(knobs.seen())) == members.size()) return cfg;
+  if (static_cast<std::size_t>(std::popcount(knobs.seen())) == members.size()) {
+    return cfg;  // no overrides: the preset stands as built
+  }
   FieldReader overrides(v, Fields<ssd::SsdConfig>::kContext, knobs.seen());
   Fields<ssd::SsdConfig>::list(cfg, overrides);
   overrides.reject_unread();
-  if (overrides.seen() != knobs.seen()) check_thresholds(cfg, v);
+  check_thresholds(cfg, v);
   return cfg;
 }
 

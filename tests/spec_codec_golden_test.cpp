@@ -50,7 +50,6 @@ struct CampaignPin {
   std::uint64_t runner;
 };
 
-// Captured with the per-key if-chain codecs.
 const CampaignPin kCampaignPins[] = {
     {"quickstart.json", 0x7587B8A54DC7C068ULL, 0x75130672E686A175ULL,
      0x8831D9F5217D5E46ULL, 0xA0B2BCE0F0D4570DULL},
